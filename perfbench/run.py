@@ -7,9 +7,10 @@ header, one line per metric with its unit, and as the last line one JSON
 object with the keys correct, attempted, failed and metrics.  With
 --trace 0 the metrics are the end-to-end ones of BENCHMARK.json, with
 --trace 1 the per-layer ones.  Each workload runs in its own
-single-threaded process (worker.py).  wall_s is the fastest pass of the
-run and set-up time the median of several fresh processes that import the
-program and make the inputs (see README.md for why).
+single-threaded process (worker.py).  wall_s is the median pass of the
+run and setup_s the median of several fresh processes that import the
+program and make the inputs; both are scaled to the reference speed by
+the calibration loop run around each (calibrate.py; README.md says why).
 
 Run it from the root of a source tree: it uses the program under src/ and
 exits with code 2 if there is none.
@@ -29,11 +30,13 @@ import sys
 import time
 from pathlib import Path
 
+import calibrate
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 WORKLOADS = ("staged-exact", "mc-sample", "classify-grid", "verify-suite")
-SETUP_REPEATS = 11
+SETUP_REPEATS = 7
 # Throughput printed beside wall_s, from the items one pass handles.
 THROUGHPUT = {"mc-sample": "mc_samples_per_s", "classify-grid": "cells_per_s"}
 
@@ -94,20 +97,23 @@ def header() -> list[str]:
     ]
 
 
-def setup_seconds(workload: str, seed: int) -> float:
-    """Median wall time of fresh processes that import the program and make
-    the workload's inputs.  A first, untimed one fills the bytecode cache."""
+def setup_seconds(workload: str, seed: int) -> list[tuple]:
+    """Wall times of fresh processes that import the program and make the
+    workload's inputs, each as (seconds, calibration loop before, loop
+    after).  A first, untimed one fills the bytecode cache."""
     args = ["--workload", workload, "--seed", str(seed), "--setup"]
-    times = []
+    samples, loop = [], None
     for i in range(SETUP_REPEATS + 1):
         start = time.perf_counter()
         done = _worker(args, timeout=60)
         elapsed = time.perf_counter() - start
         if done.returncode != 0:
             raise RuntimeError(f"set-up failed:\n{done.stderr}")
+        after = calibrate.loop()
         if i:
-            times.append(elapsed)
-    return statistics.median(times)
+            samples.append((elapsed, loop, after))
+        loop = after
+    return samples
 
 
 def run_workload(workload: str, seed: int, seconds: int, trace: int,
@@ -121,17 +127,22 @@ def run_workload(workload: str, seed: int, seconds: int, trace: int,
     result = json.loads(done.stdout.strip().splitlines()[-1])
     metrics = result["metrics"]
     if setup is not None:
-        metrics["setup_s"] = setup
+        metrics["setup_s"] = calibrate.scaled(setup)
     passes = result["passes"]
     print(f"## {workload} seed={seed} trace={trace} passes={len(passes)} "
           f"attempted={result['attempted']} failed={result['failed']} "
           f"correct={result['correct']}")
+    if setup is not None:
+        print(f"   setup times: median "
+              f"{statistics.median(t for t, _, _ in setup):.4g} s; calibration "
+              f"loop median {statistics.median(a for _, _, a in setup):.4g} s")
     if result["unexpected"]:
         print(f"   unexpected failures: {', '.join(result['unexpected'])}")
     if len(passes) > 1:
         q1, q2, q3 = statistics.quantiles(passes, n=4)
         print(f"   pass times: min {min(passes):.4g} s, quartiles {q1:.4g} "
-              f"{q2:.4g} {q3:.4g} s, max {max(passes):.4g} s")
+              f"{q2:.4g} {q3:.4g} s, max {max(passes):.4g} s; calibration "
+              f"loop median {statistics.median(result['loops']):.4g} s")
     for name, value in sorted(metrics.items()):
         print(f"   {name} = {value:.6g} {units[name]}")
     if not trace and workload in THROUGHPUT:

@@ -1,12 +1,14 @@
 """One workload in its own process; started by run.py.
 
-With --trace 0 it repeats whole untraced passes until --seconds have gone
-by and prints the fastest pass time and the process's peak memory.  With
---trace 1 it alternates an untraced and a traced pass and prints the
-per-layer figures of the traced passes (medians over passes), the
-overhead of the fastest traced pass over the fastest untraced one, and
-writes the spans of the last traced pass under .perfbench-out/.  With --setup it only imports the
-program and makes the inputs, which is what run.py times as set-up.
+With --trace 0 it repeats whole untraced passes, each followed by the
+calibration loop, until --seconds have gone by, and prints the median pass
+time at the reference speed (calibrate.py) and the process's peak memory.
+With --trace 1 it alternates an untraced and a traced pass and prints the
+per-layer figures of the traced passes (medians over passes), the overhead
+of the traced passes over the untraced ones (medians at the reference
+speed), and writes the spans of the last traced pass under
+.perfbench-out/.  With --setup it only imports the program and makes the
+inputs, which is what run.py times as set-up.
 """
 
 from __future__ import annotations
@@ -19,9 +21,12 @@ import sys
 import time
 from pathlib import Path
 
+import calibrate
 import workloads
 from workloads import WORKLOADS
 
+# Where a traced run writes its spans, relative to the source tree.
+OUT_DIR = Path(".perfbench-out")
 # Peak memory is read after this many passes.  The process's heap keeps
 # growing slowly over repeated passes (about 1 MB a pass on verify-suite),
 # so the peak at the end of a run would depend on how many passes the
@@ -100,8 +105,9 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def run(workload, seconds: float, trace: bool, out_dir: Path):
+def run(workload, seconds: float, trace: bool):
     tally = workloads.Tally()
+    # Passes as (seconds, calibration loop before, loop after).
     untraced, traced, layers = [], [], []
     tracer = None
     if trace:
@@ -109,9 +115,12 @@ def run(workload, seconds: float, trace: bool, out_dir: Path):
         tracer = Tracer()
     deadline = time.perf_counter() + seconds
     peak_rss = None
+    loop = calibrate.loop()
     while True:
         wall, outputs = workload.run()
-        untraced.append(wall)
+        after = calibrate.loop()
+        untraced.append((wall, loop, after))
+        loop = after
         workload.check(outputs, tally)
         if len(untraced) == RSS_PASSES:
             peak_rss = _peak_rss_mb()
@@ -119,7 +128,9 @@ def run(workload, seconds: float, trace: bool, out_dir: Path):
             tracer.reset()
             with tracer.installed():
                 wall, outputs = workload.run()
-            traced.append(wall)
+            after = calibrate.loop()
+            traced.append((wall, loop, after))
+            loop = after
             layers.append(layer_metrics(tracer))
             workload.check(outputs, tally)
         if time.perf_counter() >= deadline:
@@ -129,21 +140,23 @@ def run(workload, seconds: float, trace: bool, out_dir: Path):
         "attempted": tally.attempted,
         "failed": tally.failed,
         "unexpected": sorted(set(tally.unexpected)),
-        "passes": untraced,
+        "passes": [seconds for seconds, _, _ in untraced],
+        "loops": [untraced[0][1]] + [after for _, _, after in untraced],
         "items_per_pass": getattr(workload, "per_pass", None),
     }
     if tracer is None:
         result["metrics"] = {
-            "wall_s": min(untraced),
+            "wall_s": calibrate.scaled(untraced),
             "peak_rss_mb": peak_rss if peak_rss is not None else _peak_rss_mb(),
         }
     else:
         metrics = {m: statistics.median(layer[m] for layer in layers)
                    for m in layers[0]}
-        metrics["trace.overhead_s"] = min(traced) - min(untraced)
+        metrics["trace.overhead_s"] = (calibrate.scaled(traced)
+                                       - calibrate.scaled(untraced))
         result["metrics"] = metrics
-        out_dir.mkdir(exist_ok=True)
-        tracer.write(out_dir / f"trace-{workload.name}.npz")
+        OUT_DIR.mkdir(exist_ok=True)
+        tracer.write(OUT_DIR / f"trace-{workload.name}.npz")
     return result
 
 
@@ -154,14 +167,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=0.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup", action="store_true")
-    parser.add_argument("--out-dir", type=Path, default=Path(".perfbench-out"))
     args = parser.parse_args(argv)
     workload = WORKLOADS[args.workload](args.seed)
     if args.setup:
         return 0
     if hasattr(workload, "prepare"):
         workload.prepare()
-    result = run(workload, args.seconds, bool(args.trace), args.out_dir)
+    result = run(workload, args.seconds, bool(args.trace))
     print(json.dumps(result))
     return 0
 

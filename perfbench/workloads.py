@@ -124,6 +124,19 @@ def _shift_out_of(hi):
     return perturb
 
 
+def _split_heaviest(amount):
+    """Move `amount` of mass from the heaviest atom to a new atom one unit
+    of work above it."""
+    def perturb(law):
+        law = _copy(law)
+        k = _heaviest(law)
+        law["probability"][k] -= amount
+        law["work"].append(law["work"][k] + 1.0)
+        law["probability"].append(amount)
+        return law
+    return perturb
+
+
 def _swap_middle(law):
     law = _copy(law)
     work, k = law["work"], len(law["work"]) // 2
@@ -396,10 +409,13 @@ class ClassifyGrid:
             doc = {"work": list(law.values),
                    "probability": list(law.probabilities)}
             tally.record("classify.witness_work", _no_loss(doc))
-            controls.setdefault(kind, (p_in, p_out, witness, doc))
+            law_checks = _witness_law_checks(steps, p_in)
+            for name, holds, _ in law_checks:
+                tally.record(f"classify.witness_{name}", holds(doc))
+            controls.setdefault(kind, (p_in, p_out, witness, doc, law_checks))
         # Negative controls on the first cell of each verdict.
         for kind in ("mixing", "pure_excited"):
-            p_in, p_out, witness, doc = controls[kind]
+            p_in, p_out, witness, doc, law_checks = controls[kind]
             flipped = "forbidden" if kind == "mixing" else "mixing"
             tally.record(f"classify.{kind}.verdict.control",
                          flipped != ref.verdict_rule(p_in, p_out, p_beta))
@@ -410,6 +426,9 @@ class ClassifyGrid:
             shifted["work"][0] = -1e-9
             tally.record(f"classify.{kind}.witness_work.control",
                          not _no_loss(shifted))
+            for name, holds, perturb in law_checks:
+                tally.record(f"classify.{kind}.witness_{name}.control",
+                             not holds(perturb(doc)))
         p_in, p_out, bound = controls["forbidden"]
         tally.record("classify.forbidden.verdict.control",
                      "mixing" != ref.verdict_rule(p_in, p_out, p_beta))
@@ -428,6 +447,21 @@ def steps_of(proto):
         kind, attr = kinds[type(step).__name__]
         steps.append((kind, getattr(step, attr)))
     return steps
+
+
+def _witness_law_checks(steps, p_in):
+    """(name, check, perturbation) for a witness law against the moment
+    recursion and the attainable range of its protocol."""
+    mean, var, _ = ref.moments(steps, BETA, E0, p_in)
+    lo, hi = ref.work_range(steps, BETA, E0, p_in)
+    return (
+        ("mean", lambda d: abs(_atoms_mean(d) - mean) <= MOMENT_TOL,
+         _shift_heaviest(1e-6)),
+        # A witness law may be one atom, which no shift of an atom spreads.
+        ("variance", lambda d: abs(_atoms_variance(d) - var) <= MOMENT_TOL,
+         _split_heaviest(1e-6)),
+        ("range", _within(lo, hi), _shift_out_of(hi)),
+    )
 
 
 def _reaches(witness):
