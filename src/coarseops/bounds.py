@@ -49,8 +49,14 @@ class NoGoBound:
         }
 
 
-def _product_bound(threshold, p1, p2, p3, pf, regime) -> NoGoBound:
-    return NoGoBound(threshold, p1 * p2 * p3 * pf, p1, p2, p3, pf, regime)
+def _stage_bound(margin, q_star, ctx, p1, p3, pf, regime) -> NoGoBound:
+    """Compose the stage bounds at the pivot level q*: the stage-III margin
+    eps = margin(q*), the stage-II probability p_2 = min{2/3, eps/(8/beta +
+    eps)} (stage II absorbs half the margin, hence the 8/beta) and the loss
+    threshold eps/2."""
+    eps = margin(q_star, ctx)
+    p2 = min(2.0 / 3.0, eps / (8.0 / ctx.beta + eps))
+    return NoGoBound(eps / 2.0, p1 * p2 * p3 * pf, p1, p2, p3, pf, regime)
 
 
 def lemma_simplecase_bound(
@@ -80,13 +86,18 @@ def hoeffding_tail(n: int, p: float) -> float:
 
 
 def exact_binomial_upper_tail(n: int, p: float) -> float:
-    """Exact P(Bin(n, p) >= n/2), the quantity hoeffding_tail dominates."""
+    """Exact P(Bin(n, p) >= n/2), the quantity hoeffding_tail dominates.
+
+    Each term is formed in log space, so no factor overflows for large n."""
     k_min = math.ceil(n / 2)
-    return float(
-        sum(
-            math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
-            for k in range(k_min, n + 1)
-        )
+    if p == 0.0 or p == 1.0:
+        return float(p == 1.0 or k_min == 0)
+    log_p, log_q = math.log(p), math.log1p(-p)
+    log_n = math.lgamma(n + 1)
+    return math.fsum(
+        math.exp(log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                 + k * log_p + (n - k) * log_q)
+        for k in range(k_min, n + 1)
     )
 
 
@@ -109,10 +120,8 @@ def lemma_path_bound(
             f"need 1/2 >= q_out > p_beta > p_in > 0, got "
             f"p_in={p_in}, p_beta={p_beta}, q_out={q_out}"
         )
-    eps = epsilon_iii(q_out, ctx)
-    # Stage II absorbs half the stage-III margin, hence the 8/beta.
-    p2 = min(2.0 / 3.0, eps / (8.0 / ctx.beta + eps))
-    return eps / 2.0, p_in * p2 * q_out
+    b = _stage_bound(epsilon_iii, q_out, ctx, p_in, q_out, 1.0, "path")
+    return b.work_threshold, b.probability_lower_bound
 
 
 def theorem_main_bound(
@@ -127,10 +136,8 @@ def theorem_main_bound(
             f"p_in={p_in}, p_beta={p_beta}, p_out={p_out}"
         )
     q_star = (p_out + p_beta) / 2.0
-    eps = epsilon_iii(q_star, ctx)
-    p2 = min(2.0 / 3.0, eps / (8.0 / ctx.beta + eps))
-    return _product_bound(
-        eps / 2.0, p_in, p2, q_star, (p_out - p_beta) / 2.0, "A6"
+    return _stage_bound(
+        epsilon_iii, q_star, ctx, p_in, q_star, (p_out - p_beta) / 2.0, "A6"
     )
 
 
@@ -147,15 +154,9 @@ def theorem_rev_bound(
             f"p_in={p_in}, p_beta={p_beta}, p_out={p_out}"
         )
     q_star = (p_out + p_beta) / 2.0
-    eps = epsilon_iii_tilde(q_star, ctx)
-    p2 = min(2.0 / 3.0, eps / (8.0 / ctx.beta + eps))
-    return _product_bound(
-        eps / 2.0,
-        min(p_in, 1.0 - p_in),
-        p2,
-        1.0 - q_star,
-        (p_beta - p_out) / 2.0,
-        "A7",
+    return _stage_bound(
+        epsilon_iii_tilde, q_star, ctx, min(p_in, 1.0 - p_in), 1.0 - q_star,
+        (p_beta - p_out) / 2.0, "A7",
     )
 
 
@@ -169,29 +170,16 @@ def theorem_same_side(
     probability; this is a constructive instantiation composing the
     stage bounds of the applicable side at q* = (p_in + p_out)/2."""
     p_beta = ctx.p_beta
+    q_star = (p_in + p_out) / 2.0
     if p_beta <= p_in < p_out:
-        q_star = (p_in + p_out) / 2.0
-        eps = epsilon_iii(q_star, ctx)
-        p2 = min(2.0 / 3.0, eps / (8.0 / ctx.beta + eps))
-        return _product_bound(
-            eps / 2.0,
-            min(p_in, 1.0 - p_in),
-            p2,
-            q_star,
-            (p_out - p_in) / 2.0,
-            "A8",
+        return _stage_bound(
+            epsilon_iii, q_star, ctx, min(p_in, 1.0 - p_in), q_star,
+            (p_out - p_in) / 2.0, "A8",
         )
     if p_beta >= p_in > p_out >= 0.0:
-        q_star = (p_in + p_out) / 2.0
-        eps = epsilon_iii_tilde(q_star, ctx)
-        p2 = min(2.0 / 3.0, eps / (8.0 / ctx.beta + eps))
-        return _product_bound(
-            eps / 2.0,
-            p_in,
-            p2,
-            1.0 - q_star,
-            (p_in - p_out) / 2.0,
-            "A8",
+        return _stage_bound(
+            epsilon_iii_tilde, q_star, ctx, p_in, 1.0 - q_star,
+            (p_in - p_out) / 2.0, "A8",
         )
     raise ValueError(
         f"need p_beta <= p_in < p_out or p_beta >= p_in > p_out, got "

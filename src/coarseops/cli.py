@@ -42,7 +42,6 @@ from coarseops.paths import (
     area_between,
     decompose_stages,
     enumerate_paths,
-    epsilon_iii,
     path_work_distribution,
     shrink,
 )
@@ -165,7 +164,12 @@ def simulate(beta, e0, p_beta, protocol_file, p_in, p_out, stage2_steps,
         for v in report.violations:
             click.echo(f"validation: step {v.step_index}: {v.message}", err=True)
         sys.exit(EXIT_VALIDATION)
-    initial = QubitState(proto.ctx.p_beta if p_in is None else p_in)
+    if samples is not None and samples < 1:
+        _fail(EXIT_VALIDATION, f"--samples must be >= 1, got {samples}")
+    try:
+        initial = QubitState(proto.ctx.p_beta if p_in is None else p_in)
+    except ValueError as exc:
+        _fail(EXIT_VALIDATION, str(exc))
     std_error = None
     if samples is not None:
         result = monte_carlo(proto, initial, samples, seed)
@@ -208,13 +212,9 @@ def figure8_rows(ctx: ThermalContext, points: int):
     rows = []
     for k in range(1, points + 1):
         p_out = ctx.p_beta + k * (0.5 - ctx.p_beta) / points
-        q_star = (p_out + ctx.p_beta) / 2.0
-        threshold = epsilon_iii(q_star, ctx) / 2.0
-        probs = [
-            theorem_main_bound(p, p_out, ctx).probability_lower_bound
-            for p in FIGURE8_P_INS
-        ]
-        rows.append((p_out, threshold, *probs))
+        bounds = [theorem_main_bound(p, p_out, ctx) for p in FIGURE8_P_INS]
+        rows.append((p_out, bounds[0].work_threshold,
+                     *(b.probability_lower_bound for b in bounds)))
     return rows
 
 

@@ -1,10 +1,13 @@
 """Exact and sampled evaluation of a protocol.
 
-The exact law of the work random variable is computed by dynamic
-programming over (occupation bit, accumulated work value).  An exhaustive
-branch enumeration serves as an independent oracle for small protocols,
-and a seeded counter-based Monte Carlo handles protocols too large for
-either.
+The exact law of the work random variable is computed by one dynamic
+program over (occupation bit, accumulated work value), `_run_dp`, which
+serves protocols and resolved paths alike.  After each level shift it
+drops atoms of zero mass and merges, by `_merge_atoms`, each run of atoms
+with gaps below MERGE_TOL into one atom at first + sum p*(v - first) /
+sum p.  An exhaustive branch enumeration serves as an independent oracle
+for small protocols, and a seeded counter-based Monte Carlo handles
+protocols too large for either.
 """
 
 from __future__ import annotations
@@ -36,25 +39,28 @@ class ResourceError(RuntimeError):
     """The exact computation would exceed its configured budget."""
 
 
-def _merge_close(values: np.ndarray, probs: np.ndarray, tol: float = MERGE_TOL):
-    """Group work values closer than tol (after sorting) into single atoms
-    at their probability-weighted mean."""
-    order = np.argsort(values)
+def _merge_atoms(values: np.ndarray, *mass_columns: np.ndarray):
+    """Sort atoms stably by value and merge each run whose adjacent gaps are
+    below MERGE_TOL into one atom; returns the values and the summed columns.
+
+    A merged atom sits at first + sum p*(v - first) / sum p, with p the
+    atom's total over all columns and first the run's smallest value, so it
+    stays inside its own run even when the run's mass is denormal."""
+    order = values.argsort(kind="stable")
     values = values[order]
-    probs = probs[order]
-    if len(values) == 0:
-        return values, probs
-    group = np.concatenate(([0], np.cumsum(np.diff(values) >= tol)))
-    n_groups = group[-1] + 1
-    mass = np.zeros(n_groups)
-    np.add.at(mass, group, probs)
-    weighted = np.zeros(n_groups)
-    np.add.at(weighted, group, probs * values)
-    first = np.zeros(n_groups)
-    first[group[::-1]] = values[::-1]
-    with np.errstate(invalid="ignore"):
-        centers = np.where(mass > 0, weighted / np.maximum(mass, 1e-300), first)
-    return centers, mass
+    columns = [c[order] for c in mass_columns]
+    new_run = values[1:] - values[:-1] >= MERGE_TOL
+    if new_run.all():
+        return (values, *columns)
+    group = np.concatenate(([0], np.cumsum(new_run)))
+    first = values[np.concatenate(([True], new_run))]
+    last = values[np.concatenate((new_run, [True]))]
+    p = sum(columns)
+    mass = np.bincount(group, weights=p)
+    offset = np.bincount(group, weights=p * (values - first[group]))
+    offset = np.divide(offset, mass, out=np.zeros_like(mass), where=mass > 0)
+    return (first + np.minimum(offset, last - first),
+            *(np.bincount(group, weights=c) for c in columns))
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,7 @@ class WorkDistribution:
         values = np.asarray(values, dtype=float)
         probs = np.asarray(probs, dtype=float)
         keep = probs > 0
-        values, probs = _merge_close(values[keep], probs[keep])
+        values, probs = _merge_atoms(values[keep], probs[keep])
         return WorkDistribution(tuple(values.tolist()), tuple(probs.tolist()))
 
     @property
@@ -112,69 +118,54 @@ def prob_work_at_most(dist: WorkDistribution, threshold: float) -> float:
     )
 
 
-def total_variation(
-    a: WorkDistribution, b: WorkDistribution, tol: float = MERGE_TOL
-) -> float:
-    """Total-variation distance, matching atoms whose work values agree
-    within tol."""
-    values = np.concatenate([np.asarray(a.values), np.asarray(b.values)])
-    signed = np.concatenate(
-        [np.asarray(a.probabilities), -np.asarray(b.probabilities)]
+def total_variation(a: WorkDistribution, b: WorkDistribution) -> float:
+    """Total-variation distance, matching atoms whose work values merge
+    under MERGE_TOL."""
+    pa, pb = np.asarray(a.probabilities), np.asarray(b.probabilities)
+    _, pa, pb = _merge_atoms(
+        np.concatenate([np.asarray(a.values), np.asarray(b.values)]),
+        np.concatenate([pa, np.zeros(len(pb))]),
+        np.concatenate([np.zeros(len(pa)), pb]),
     )
-    order = np.argsort(values)
-    values, signed = values[order], signed[order]
-    if len(values) == 0:
-        return 0.0
-    group = np.concatenate(([0], np.cumsum(np.diff(values) >= tol)))
-    net = np.zeros(group[-1] + 1)
-    np.add.at(net, group, signed)
-    return 0.5 * float(np.abs(net).sum())
+    return 0.5 * float(np.abs(pa - pb).sum())
 
 
-def final_state(proto: Protocol, initial: QubitState) -> QubitState:
-    """Deterministic population evolution: thermalization mixes toward the
-    thermal population at the current gap, shifts leave populations alone,
-    swaps mix with the flipped population."""
-    p = initial.p_excited
-    e = proto.ctx.e0
-    for step in proto.steps:
+def _final_population(steps, start_energy: float, ctx, p: float) -> float:
+    """Scalar population recursion over a step sequence starting at gap
+    start_energy: thermalization mixes toward the thermal population at the
+    current gap, shifts leave populations alone, swaps mix with the flipped
+    population."""
+    e = start_energy
+    for step in steps:
         if isinstance(step, PartialThermalization):
-            p = (1.0 - step.lam) * p + step.lam * gibbs_population(e, proto.ctx)
+            p = (1.0 - step.lam) * p + step.lam * gibbs_population(e, ctx)
         elif isinstance(step, LevelTransformation):
             e += step.delta_e
         else:
             p = (1.0 - step.gamma) * p + step.gamma * (1.0 - p)
-    return QubitState(p)
+    return p
 
 
-def _run_dp(proto: Protocol, initial: QubitState, atom_cap: int):
-    # Parallel arrays: works[i] with mass (unocc[i], occ[i]).
+def final_state(proto: Protocol, initial: QubitState) -> QubitState:
+    """Deterministic population evolution of a protocol."""
+    return QubitState(
+        _final_population(proto.steps, proto.ctx.e0, proto.ctx, initial.p_excited)
+    )
+
+
+def _run_dp(steps, start_energy: float, ctx, p: float, atom_cap: int = ATOM_CAP):
+    """Exact work law of a step sequence from gap start_energy and excited
+    population p, as parallel arrays: work values with their mass split by
+    final occupation.  Thermalizations and swaps mix the occupation
+    components in place; only level shifts move mass between work values
+    (the occupied component pays -delta_e)."""
     works = np.array([0.0])
-    unocc = np.array([1.0 - initial.p_excited])
-    occ = np.array([initial.p_excited])
-    e = proto.ctx.e0
-
-    def _compact():
-        nonlocal works, unocc, occ
-        order = np.argsort(works)
-        works, unocc, occ = works[order], unocc[order], occ[order]
-        group = np.concatenate(([0], np.cumsum(np.diff(works) >= MERGE_TOL)))
-        n = group[-1] + 1
-        new_u = np.zeros(n)
-        new_o = np.zeros(n)
-        new_w = np.zeros(n)
-        np.add.at(new_u, group, unocc)
-        np.add.at(new_o, group, occ)
-        np.add.at(new_w, group, works * (unocc + occ))
-        mass = new_u + new_o
-        first = np.zeros(n)
-        first[group[::-1]] = works[::-1]
-        new_w = np.where(mass > 0, new_w / np.maximum(mass, 1e-300), first)
-        works, unocc, occ = new_w, new_u, new_o
-
-    for step in proto.steps:
+    unocc = np.array([1.0 - p])
+    occ = np.array([p])
+    e = start_energy
+    for step in steps:
         if isinstance(step, PartialThermalization):
-            g = gibbs_population(e, proto.ctx)
+            g = gibbs_population(e, ctx)
             lam = step.lam
             total = unocc + occ
             unocc = (1.0 - lam) * unocc + lam * (1.0 - g) * total
@@ -188,11 +179,14 @@ def _run_dp(proto: Protocol, initial: QubitState, atom_cap: int):
         else:
             e += step.delta_e
             if step.delta_e != 0.0:
-                # Occupied mass pays work -delta_e; unoccupied stays put.
                 works = np.concatenate([works, works - step.delta_e])
-                unocc = np.concatenate([unocc, np.zeros_like(occ)])
-                occ = np.concatenate([np.zeros_like(occ), occ])
-                _compact()
+                empty = np.zeros_like(occ)
+                unocc = np.concatenate([unocc, empty])
+                occ = np.concatenate([empty, occ])
+                keep = (unocc + occ) > 0
+                if not keep.all():
+                    works, unocc, occ = works[keep], unocc[keep], occ[keep]
+                works, unocc, occ = _merge_atoms(works, unocc, occ)
                 if len(works) > atom_cap:
                     raise ResourceError(
                         f"work support exceeds {atom_cap} atoms; "
@@ -204,19 +198,16 @@ def _run_dp(proto: Protocol, initial: QubitState, atom_cap: int):
 def exact_work_distribution(
     proto: Protocol, initial: QubitState, atom_cap: int = ATOM_CAP
 ) -> WorkDistribution:
-    """Exact law of the total work by dynamic programming.
-
-    DP state: for each distinct accumulated work value, the probability
-    mass split by current occupation.  Thermalizations and swaps mix the
-    occupation components in place; only level shifts move mass between
-    work values (the occupied component pays -delta_e)."""
-    works, unocc, occ = _run_dp(proto, initial, atom_cap)
+    """Exact law of the total work by dynamic programming (_run_dp)."""
+    works, unocc, occ = _run_dp(
+        proto.steps, proto.ctx.e0, proto.ctx, initial.p_excited, atom_cap
+    )
     return WorkDistribution.from_atoms(works, unocc + occ)
 
 
 def dp_final_occupation(proto: Protocol, initial: QubitState) -> float:
     """Occupation marginal of the exact DP, for cross-checking final_state."""
-    _, _, occ = _run_dp(proto, initial, ATOM_CAP)
+    _, _, occ = _run_dp(proto.steps, proto.ctx.e0, proto.ctx, initial.p_excited)
     return float(occ.sum())
 
 

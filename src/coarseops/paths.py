@@ -8,6 +8,10 @@ happens before tag i, and the final entry is the trailing shift after the
 last tag (zero when there is none), so a shrunk path carries no identity
 tags at all.
 
+A path's exact work law is the protocol DP of `engine` (same MERGE_TOL
+merge rule, zero-mass atoms dropped) run on its steps: LT(inc) for each
+nonzero increment, PT(1) for a Gibbs tag and BT(1) for a swap tag.
+
 Stages: I up to and including the first Gibbs tag, II until the last Gibbs
 tag, III after it.  Stage free-energy changes are Gibbs-curve integrals
 over the corresponding energy windows.
@@ -20,9 +24,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from coarseops.engine import MERGE_TOL, WorkDistribution
+from coarseops.engine import (
+    MERGE_TOL,
+    WorkDistribution,
+    _final_population,
+    _run_dp,
+)
 from coarseops.protocol import (
     BistochasticTransformation,
     LevelTransformation,
@@ -276,51 +283,43 @@ def area_between(path: Path, initial_level: float = math.nan) -> AreaReport:
     return AreaReport(total, tuple(segments))
 
 
+_TAG_STEPS = {
+    Tag.GIBBS: PartialThermalization(1.0),
+    Tag.SWAP: BistochasticTransformation(1.0),
+}
+
+
+def _path_steps(path: Path) -> list:
+    """The path as protocol steps; identity tags and zero increments
+    vanish."""
+    steps = []
+    for inc, tag in itertools.zip_longest(
+        path.increments, path.tags, fillvalue=None
+    ):
+        if inc != 0.0:
+            steps.append(LevelTransformation(inc))
+        if tag in _TAG_STEPS:
+            steps.append(_TAG_STEPS[tag])
+    return steps
+
+
 def path_work_distribution(path: Path, initial: QubitState) -> WorkDistribution:
     """Exact work law conditional on this resolved path.
 
     The occupation starts Bernoulli(initial), redraws from the Gibbs
     population at each Gibbs tag, and flips at each swap tag; every
     increment charges work -delta_e on the occupied branch."""
-    # Map work value -> (unoccupied mass, occupied mass).
-    state = {0.0: (1.0 - initial.p_excited, initial.p_excited)}
-    e = path.start_energy
-    for inc, tag in itertools.zip_longest(
-        path.increments, path.tags, fillvalue=None
-    ):
-        e += inc
-        if inc != 0.0:
-            new: dict[float, tuple[float, float]] = {}
-            for w, (u, o) in state.items():
-                nu, no = new.get(w, (0.0, 0.0))
-                new[w] = (nu + u, no)
-                w2 = w - inc
-                nu, no = new.get(w2, (0.0, 0.0))
-                new[w2] = (nu, no + o)
-            state = new
-        if tag is Tag.GIBBS:
-            g = gibbs_population(e, path.ctx)
-            state = {
-                w: ((u + o) * (1.0 - g), (u + o) * g) for w, (u, o) in state.items()
-            }
-        elif tag is Tag.SWAP:
-            state = {w: (o, u) for w, (u, o) in state.items()}
-    values = np.array(list(state.keys()))
-    probs = np.array([u + o for u, o in state.values()])
-    return WorkDistribution.from_atoms(values, probs)
+    works, unocc, occ = _run_dp(
+        _path_steps(path), path.start_energy, path.ctx, initial.p_excited
+    )
+    return WorkDistribution.from_atoms(works, unocc + occ)
 
 
 def path_final_state(path: Path, initial: QubitState) -> QubitState:
     """Occupation law at the end of the resolved path."""
-    p = initial.p_excited
-    e = path.start_energy
-    for inc, tag in zip(path.increments, path.tags):
-        e += inc
-        if tag is Tag.GIBBS:
-            p = gibbs_population(e, path.ctx)
-        elif tag is Tag.SWAP:
-            p = 1.0 - p
-    return QubitState(p)
+    return QubitState(_final_population(
+        _path_steps(path), path.start_energy, path.ctx, initial.p_excited
+    ))
 
 
 def epsilon_iii(q_out: float, ctx: ThermalContext) -> float:

@@ -267,6 +267,13 @@ def to_json(proto: Protocol) -> str:
     return json.dumps(to_json_dict(proto))
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; null, booleans and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def from_json_dict(data: dict) -> Protocol:
     if not isinstance(data, dict):
         raise ValueError("protocol document must be a JSON object")
@@ -275,7 +282,11 @@ def from_json_dict(data: dict) -> Protocol:
         raise ValueError(f"unknown protocol keys: {sorted(extra)}")
     if not {"beta", "e0", "steps"} <= set(data):
         raise ValueError("protocol document requires keys beta, e0, steps")
-    ctx = ThermalContext(beta=float(data["beta"]), e0=float(data["e0"]))
+    ctx = ThermalContext(
+        beta=_number(data["beta"], "beta"), e0=_number(data["e0"], "e0")
+    )
+    if not isinstance(data["steps"], list):
+        raise ValueError("protocol steps must be a JSON array")
     steps: list[ProtocolStep] = []
     for i, raw in enumerate(data["steps"]):
         if not isinstance(raw, dict) or "type" not in raw:
@@ -289,7 +300,7 @@ def from_json_dict(data: dict) -> Protocol:
             raise ValueError(f"step {i}: unknown keys {sorted(extra)}")
         if param_key not in raw:
             raise ValueError(f"step {i}: missing {param_key!r}")
-        steps.append(cls(float(raw[param_key])))
+        steps.append(cls(_number(raw[param_key], f"step {i}: {param_key}")))
     return Protocol(ctx, steps)
 
 

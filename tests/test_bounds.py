@@ -82,6 +82,31 @@ def test_hoeffding_dominates_exact_binomial_on_grid():
             assert exact_binomial_upper_tail(n, p) <= hoeffding_tail(n, p)
 
 
+def _comb_binomial_upper_tail(n, p):
+    # Reference: integer binomial coefficients, exact up to n = 1029.
+    return sum(
+        math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+        for k in range(math.ceil(n / 2), n + 1)
+    )
+
+
+def test_exact_binomial_matches_integer_coefficients():
+    for n in range(0, 201):
+        for p in [0.0, 1.0, *np.arange(0.05, 0.96, 0.05)]:
+            ref = _comb_binomial_upper_tail(n, float(p))
+            assert exact_binomial_upper_tail(n, float(p)) == pytest.approx(
+                ref, rel=1e-12
+            )
+
+
+def test_exact_binomial_large_n_is_finite_and_dominated():
+    for n in (1030, 5000):
+        for p in (0.05, 0.3, 0.45, 0.49):
+            tail = exact_binomial_upper_tail(n, p)
+            assert math.isfinite(tail)
+            assert 0.0 <= tail <= hoeffding_tail(n, p)
+
+
 def test_w2_probability_examples():
     assert lemma_w2_probability(4.0, CTX) == pytest.approx(0.5)
     assert lemma_w2_probability(1e9, CTX) == pytest.approx(2 / 3)

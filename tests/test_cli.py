@@ -10,7 +10,12 @@ from click.testing import CliRunner
 
 from coarseops.cli import main
 from coarseops.paths import epsilon_iii
-from coarseops.protocol import Protocol, build_thermalize_once, to_json
+from coarseops.protocol import (
+    Protocol,
+    build_thermalize_once,
+    from_json_dict,
+    to_json,
+)
 from coarseops.thermo import ThermalContext
 
 CTX = ThermalContext(beta=1.0, e0=math.log(3))
@@ -74,6 +79,34 @@ def test_simulate_invalid_protocol(tmp_path):
     result = run("simulate", "--protocol", str(f))
     assert result.exit_code == 2
     assert "swap" in result.stderr
+
+
+def test_simulate_zero_samples_is_validation_error():
+    result = run("simulate", "--p-beta", "0.25", "--p-out", "0.3",
+                 "--samples", "0")
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == ["error: --samples must be >= 1, got 0"]
+
+
+def test_simulate_null_parameter_is_validation_error(tmp_path):
+    f = tmp_path / "null.json"
+    f.write_text(json.dumps({
+        "beta": 1.0, "e0": 1.0,
+        "steps": [{"type": "PT", "lambda": None}],
+    }))
+    result = run("simulate", "--protocol", str(f))
+    assert result.exit_code == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("value", [None, True, "0.5"])
+def test_protocol_loader_rejects_non_numbers(value):
+    step = {"beta": 1.0, "e0": 1.0, "steps": [{"type": "PT", "lambda": value}]}
+    with pytest.raises(ValueError):
+        from_json_dict(step)
+    with pytest.raises(ValueError):
+        from_json_dict({"beta": value, "e0": 1.0, "steps": []})
 
 
 def test_simulate_requires_source():

@@ -6,11 +6,13 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from coarseops.engine import (
     MERGE_TOL,
     ResourceError,
+    _merge_atoms,
     brute_force_work_distribution,
     dp_final_occupation,
     exact_work_distribution,
@@ -24,6 +26,7 @@ from coarseops.protocol import (
     LevelTransformation as LT,
     PartialThermalization as PT,
     Protocol,
+    build_average_work_protocol,
     build_pure_excited_reset,
     build_thermalize_once,
     normalize,
@@ -181,6 +184,43 @@ def test_moments_consistency():
     dist = exact_work_distribution(proto, QubitState(0.0))
     assert dist.mean == pytest.approx(-LN3 / 2)
     assert dist.variance == pytest.approx(0.25 * LN3**2)
+
+
+@pytest.mark.parametrize("p_in, rounds", [(0.1, 2000), (None, 3000)])
+def test_staged_exact_law_is_sorted_and_normalized(p_in, rounds):
+    # Long staged protocols carry atoms of near-denormal mass; merging them
+    # must not move them out of order.
+    start = CTX.p_beta if p_in is None else p_in
+    proto = build_average_work_protocol(start, 0.3, CTX, rounds)
+    dist = exact_work_distribution(proto, QubitState(start))
+    values = np.array(dist.values)
+    assert (np.diff(values) > 0).all()
+    assert math.fsum(dist.probabilities) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("group, probs", [
+    # Collapsed toward 0 when the center was sum(p*v) / max(sum p, 1e-300).
+    ((0.5, 0.5 + 4e-11, 0.5 + 8e-11), (1e-310, 2e-310, 3e-320)),
+    # Rounding of denormal products puts the plain mean above the run.
+    ((0.0, 5.748945026821453e-11), (1.64996681e-318, 4.66542778e-308)),
+])
+def test_merge_atoms_centers_denormal_group_inside_its_span(group, probs):
+    values = np.array((2.0,) + group[::-1])
+    merged, mass = _merge_atoms(values, np.array((1.0,) + probs[::-1]))
+    assert len(merged) == 2
+    assert group[0] <= merged[0] <= group[-1]
+    assert merged[1] == 2.0
+    assert mass[0] == pytest.approx(sum(probs), rel=1e-6)
+
+
+def test_merge_atoms_sums_every_mass_column():
+    values = np.array([1.0, 1.0 + MERGE_TOL / 2, 3.0])
+    merged, a, b = _merge_atoms(
+        values, np.array([0.25, 0.0, 0.5]), np.array([0.0, 0.25, 0.0])
+    )
+    assert merged.tolist() == pytest.approx([1.0 + MERGE_TOL / 4, 3.0])
+    assert a.tolist() == [0.25, 0.5]
+    assert b.tolist() == [0.25, 0.0]
 
 
 def test_atom_cap_refuses():
