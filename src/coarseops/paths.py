@@ -85,6 +85,34 @@ class Path:
         return self.start_energy + sum(self.increments)
 
 
+def cyclic_path(energies, tags, ctx: ThermalContext) -> Path:
+    """Weight-1 path from the boundary gap back to it, with tag i placed
+    at gap energies[i]."""
+    increments = [energies[0] - ctx.e0]
+    increments += [b - a for a, b in zip(energies, energies[1:])]
+    increments.append(ctx.e0 - energies[-1])
+    return Path(tuple(increments), tuple(tags), 1.0, ctx, ctx.e0)
+
+
+def random_cyclic_path(rng, ctx: ThermalContext, with_swaps: bool) -> Path:
+    """Seeded corpus generator: a cyclic path opening and closing with
+    Gibbs draws at gaps in [-2, 2], with 1-5 tags between; with
+    `with_swaps` each of those is a swap at zero gap with probability 1/2."""
+    n_mid = int(rng.integers(1, 6))
+    energies = [float(rng.uniform(-2.0, 2.0))]
+    tags = [Tag.GIBBS]
+    for _ in range(n_mid):
+        if with_swaps and rng.random() < 0.5:
+            energies.append(0.0)
+            tags.append(Tag.SWAP)
+        else:
+            energies.append(float(rng.uniform(-2.0, 2.0)))
+            tags.append(Tag.GIBBS)
+    energies.append(float(rng.uniform(-2.0, 2.0)))
+    tags.append(Tag.GIBBS)
+    return cyclic_path(energies, tags, ctx)
+
+
 def enumerate_paths(proto: Protocol, skip_zero_weight: bool = True) -> list[Path]:
     """All resolved branches of a protocol with their probabilities.
 
@@ -313,6 +341,14 @@ def path_work_distribution(path: Path, initial: QubitState) -> WorkDistribution:
         _path_steps(path), path.start_energy, path.ctx, initial.p_excited
     )
     return WorkDistribution.from_atoms(works, unocc + occ)
+
+
+def stage2_work_distribution(path: Path) -> WorkDistribution:
+    """Work law of the path's stage II, started from the Gibbs population
+    at its first Gibbs tag."""
+    d = decompose_stages(path)
+    q_a = QubitState(gibbs_population(d.e_a, path.ctx))
+    return path_work_distribution(d.stage2, q_a)
 
 
 def path_final_state(path: Path, initial: QubitState) -> QubitState:

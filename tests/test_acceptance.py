@@ -36,14 +36,14 @@ from coarseops.engine import (
     total_variation,
 )
 from coarseops.paths import (
-    Path,
     Tag,
     area_between,
     decompose_stages,
     enumerate_paths,
     epsilon_iii,
-    path_work_distribution,
+    random_cyclic_path,
     shrink,
+    stage2_work_distribution,
 )
 from coarseops.protocol import (
     build_average_work_protocol,
@@ -61,26 +61,9 @@ from coarseops.thermo import (
 CTX = ThermalContext(beta=1.0, e0=math.log(3))  # p_beta = 1/4
 
 
-def random_shrunk_path(seed: int, with_swaps: bool, ctx=CTX) -> Path:
-    """Seeded fair corpus generator: cyclic paths opening and closing with
-    Gibbs draws, swaps (at zero gap) strictly inside stage II."""
+def random_shrunk_path(seed: int, with_swaps: bool):
     rng = np.random.Generator(np.random.Philox(key=seed))
-    n_mid = int(rng.integers(1, 6))
-    energies = [float(rng.uniform(-2.0, 2.0))]
-    tags = [Tag.GIBBS]
-    for _ in range(n_mid):
-        if with_swaps and rng.random() < 0.5:
-            energies.append(0.0)
-            tags.append(Tag.SWAP)
-        else:
-            energies.append(float(rng.uniform(-2.0, 2.0)))
-            tags.append(Tag.GIBBS)
-    energies.append(float(rng.uniform(-2.0, 2.0)))
-    tags.append(Tag.GIBBS)
-    increments = [energies[0] - ctx.e0]
-    increments += [b - a for a, b in zip(energies, energies[1:])]
-    increments.append(ctx.e0 - energies[-1])
-    return Path(tuple(increments), tuple(tags), 1.0, ctx, ctx.e0)
+    return random_cyclic_path(rng, CTX, with_swaps)
 
 
 def test_criterion_01_average_work_protocol_mean():
@@ -137,9 +120,7 @@ def test_criterion_04_variance_area_bound():
         path = random_shrunk_path(seed, with_swaps=(seed % 3 == 0))
         if any(t is Tag.SWAP for t in path.tags):
             swap_count += 1
-        d = decompose_stages(path)
-        q_a = gibbs_population(d.e_a, CTX)
-        var = path_work_distribution(d.stage2, QubitState(q_a)).variance
+        var = stage2_work_distribution(path).variance
         excess = var - (2.0 / CTX.beta) * area_between(path).total
         if excess > 1e-9:
             violations.append((seed, excess))
@@ -169,11 +150,9 @@ def test_criterion_05_stage_identities():
     # Mean work of all-thermalize stage-II paths equals -dF_II - A.
     for seed in range(200):
         path = random_shrunk_path(seed, with_swaps=False)
-        d = decompose_stages(path)
-        q_a = gibbs_population(d.e_a, CTX)
-        mean = path_work_distribution(d.stage2, QubitState(q_a)).mean
-        area = area_between(path).total
-        assert mean == pytest.approx(-d.delta_f_2 - area, abs=1e-9), seed
+        mean = stage2_work_distribution(path).mean
+        identity = -decompose_stages(path).delta_f_2 - area_between(path).total
+        assert mean == pytest.approx(identity, abs=1e-9), seed
 
 
 def _realizing_protocols(p_out):

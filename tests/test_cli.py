@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import pytest
 from click.testing import CliRunner
 
+from coarseops import bounds
 from coarseops.cli import main
 from coarseops.paths import epsilon_iii
 from coarseops.protocol import (
@@ -109,6 +111,23 @@ def test_protocol_loader_rejects_non_numbers(value):
         from_json_dict({"beta": value, "e0": 1.0, "steps": []})
 
 
+@pytest.mark.parametrize("args", [
+    ("simulate", "--beta", "nan", "--p-out", "0.3"),
+    ("simulate", "--e0", "inf", "--p-out", "0.3"),
+    ("figure8", "--beta", "nan"),
+    ("verify", "--beta", "nan"),
+    ("classify", "--e0", "nan", "--p-in", "0.1", "--p-out", "0.3"),
+    # e0 = ln(3) / beta overflows to inf.
+    ("bounds", "--p-beta", "0.25", "--beta", "1e-320",
+     "--p-in", "0.1", "--p-out", "0.3"),
+])
+def test_non_finite_context_is_validation_error(args):
+    result = run(*args)
+    assert result.exit_code == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 def test_simulate_requires_source():
     result = run("simulate", "--p-beta", "0.25")
     assert result.exit_code == 1
@@ -203,9 +222,15 @@ def test_verify_passes_by_default():
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_verify_fault_injection_fails_one_check():
-    result = run("verify", "--cases", "10", "--inject-broken-bound",
-                 "--format", "json")
+def test_verify_fault_injection_fails_one_check(monkeypatch):
+    # Overstate the probability of both no-go bounds to near-certainty.
+    for name in ("theorem_main_bound", "theorem_rev_bound"):
+        def overstated(*args, honest=getattr(bounds, name)):
+            b = honest(*args)
+            claimed = min(1.0, b.probability_lower_bound + 0.99)
+            return dataclasses.replace(b, probability_lower_bound=claimed)
+        monkeypatch.setattr(bounds, name, overstated)
+    result = run("verify", "--cases", "10", "--format", "json")
     assert result.exit_code == 3
     doc = json.loads(result.stdout)
     failed = [c["check"] for c in doc["checks"] if not c["passed"]]

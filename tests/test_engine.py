@@ -8,10 +8,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarseops.engine import (
     MERGE_TOL,
     ResourceError,
+    WorkDistribution,
     _merge_atoms,
     brute_force_work_distribution,
     dp_final_occupation,
@@ -271,3 +274,59 @@ def test_csv_export():
     assert len(lines) == 3
     first_work = float(lines[1].split(",")[0])
     assert first_work == pytest.approx(-LN3, rel=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6), p_in=st.floats(0.0, 1.0))
+def test_exact_law_invariants(seed, p_in):
+    # Strictly ascending atoms, total mass 1, and every atom inside the
+    # attainable range, from paying every raising shift to gaining every
+    # lowering one.
+    proto = random_protocol(seed, 20, 2.0, CTX)
+    dist = exact_work_distribution(proto, QubitState(p_in))
+    values = np.array(dist.values)
+    shifts = [s.delta_e for s in proto.steps if isinstance(s, LT)]
+    lowest = -sum(d for d in shifts if d > 0)
+    highest = -sum(d for d in shifts if d < 0)
+    assert (np.diff(values) > 0).all()
+    assert math.fsum(dist.probabilities) == pytest.approx(1.0, abs=1e-12)
+    assert lowest - 1e-9 <= values[0] and values[-1] <= highest + 1e-9
+
+
+def _jarzynski_residual(dist, beta):
+    return abs(math.fsum(
+        p * math.exp(beta * w) for w, p in zip(dist.values, dist.probabilities)
+    ) - 1.0)
+
+
+def _reversed(proto):
+    """Time reverse: steps in reverse order, level shifts negated."""
+    return Protocol(proto.ctx, [
+        LT(-s.delta_e) if isinstance(s, LT) else s for s in reversed(proto.steps)
+    ])
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_jarzynski_and_crooks_on_random_protocols(beta):
+    # From the thermal state, E[exp(beta W)] = 1 and
+    # P_F(W) exp(beta W) = P_R(-W) for every cyclic protocol.
+    ctx = ThermalContext(beta, LN3)
+    thermal = QubitState(ctx.p_beta)
+    for seed in range(300):
+        proto = random_protocol(seed, 8, 2.0, ctx)
+        forward = exact_work_distribution(proto, thermal)
+        assert _jarzynski_residual(forward, beta) <= 1e-12, seed
+        tilted = WorkDistribution.from_atoms(
+            [-w for w in forward.values],
+            [p * math.exp(beta * w)
+             for w, p in zip(forward.values, forward.probabilities)],
+        )
+        reverse = exact_work_distribution(_reversed(proto), thermal)
+        assert total_variation(tilted, reverse) <= 1e-12, seed
+
+
+def test_jarzynski_on_long_staged_protocol():
+    # 3000 rounds: far beyond the brute-force oracle's 20 branches.
+    proto = build_average_work_protocol(CTX.p_beta, 0.3, CTX, 3000)
+    dist = exact_work_distribution(proto, QubitState(CTX.p_beta))
+    assert _jarzynski_residual(dist, CTX.beta) <= 1e-12

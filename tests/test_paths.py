@@ -13,13 +13,16 @@ from coarseops.paths import (
     Path,
     Tag,
     area_between,
+    cyclic_path,
     decompose_stages,
     enumerate_paths,
     epsilon_iii,
     epsilon_iii_tilde,
     path_final_state,
     path_work_distribution,
+    random_cyclic_path,
     shrink,
+    stage2_work_distribution,
 )
 from coarseops.protocol import (
     PartialThermalization as PT,
@@ -44,26 +47,9 @@ def make_path(increments, tags, start=None, weight=1.0, ctx=CTX):
     return Path(tuple(increments), tuple(tags), weight, ctx, start)
 
 
-def random_shrunk_path(seed: int, with_swaps: bool, ctx=CTX) -> Path:
-    """Cyclic path whose first and last tags are Gibbs draws; swap tags (at
-    zero gap) are placed strictly inside stage II."""
+def random_shrunk_path(seed: int, with_swaps: bool):
     rng = np.random.Generator(np.random.Philox(key=seed))
-    n_mid = int(rng.integers(1, 6))
-    energies = [float(rng.uniform(-2.0, 2.0))]
-    tags = [G]
-    for _ in range(n_mid):
-        if with_swaps and rng.random() < 0.5:
-            energies.append(0.0)
-            tags.append(S)
-        else:
-            energies.append(float(rng.uniform(-2.0, 2.0)))
-            tags.append(G)
-    energies.append(float(rng.uniform(-2.0, 2.0)))
-    tags.append(G)
-    increments = [energies[0] - ctx.e0]
-    increments += [b - a for a, b in zip(energies, energies[1:])]
-    increments.append(ctx.e0 - energies[-1])
-    return make_path(increments, tags, ctx=ctx)
+    return random_cyclic_path(rng, CTX, with_swaps)
 
 
 def test_enumerate_two_thermalizations():
@@ -221,13 +207,8 @@ def test_variance_area_bound_toward_zero_regime():
         for _ in range(int(rng.integers(1, 6))):
             e = float(rng.uniform(0, abs(e))) * math.copysign(1.0, e)
             energies.append(e)
-        increments = [energies[0] - CTX.e0]
-        increments += [b - a for a, b in zip(energies, energies[1:])]
-        increments.append(CTX.e0 - energies[-1])
-        path = make_path(increments, [G] * len(energies))
-        d = decompose_stages(path)
-        q_a = gibbs_population(d.e_a, CTX)
-        var = path_work_distribution(d.stage2, QubitState(q_a)).variance
+        path = cyclic_path(energies, [G] * len(energies), CTX)
+        var = stage2_work_distribution(path).variance
         area = area_between(path).total
         assert var <= (2.0 / CTX.beta) * area + 1e-9
 
@@ -237,10 +218,9 @@ def test_variance_area_bound_refuted_for_away_segments():
     # stage-II segment moving away from zero gap violates it, at any
     # discretization.  Pin the counterexample so the verifier's refutation
     # report stays honest.
-    path = make_path([1.0 - CTX.e0, 2.0, CTX.e0 - 3.0], [G, G])
-    d = decompose_stages(path)
+    path = cyclic_path([1.0, 3.0], [G, G], CTX)
     q = gibbs_population(1.0, CTX)
-    var = path_work_distribution(d.stage2, QubitState(q)).variance
+    var = stage2_work_distribution(path).variance
     area = area_between(path).total
     assert var == pytest.approx(q * (1 - q) * 4.0, rel=1e-12)
     assert var > (2.0 / CTX.beta) * area + 0.2
@@ -256,9 +236,7 @@ def test_variance_area_violation_rate_on_fair_corpus():
         path = random_shrunk_path(seed, with_swaps=(seed % 3 == 0))
         if any(t is S for t in path.tags):
             swap_count += 1
-        d = decompose_stages(path)
-        q_a = gibbs_population(d.e_a, CTX)
-        var = path_work_distribution(d.stage2, QubitState(q_a)).variance
+        var = stage2_work_distribution(path).variance
         area = area_between(path).total
         if var > (2.0 / CTX.beta) * area + 1e-9:
             violations += 1
@@ -269,11 +247,9 @@ def test_variance_area_violation_rate_on_fair_corpus():
 def test_mean_area_identity():
     for seed in range(200):
         path = random_shrunk_path(seed, with_swaps=False)
-        d = decompose_stages(path)
-        q_a = gibbs_population(d.e_a, CTX)
-        mean = path_work_distribution(d.stage2, QubitState(q_a)).mean
-        area = area_between(path).total
-        assert mean == pytest.approx(-d.delta_f_2 - area, abs=1e-9), seed
+        mean = stage2_work_distribution(path).mean
+        identity = -decompose_stages(path).delta_f_2 - area_between(path).total
+        assert mean == pytest.approx(identity, abs=1e-9), seed
 
 
 def test_swap_segment_inequality_grid():
