@@ -128,11 +128,13 @@ def theorem_main_bound(
     p_in: float, p_out: float, ctx: ThermalContext
 ) -> NoGoBound:
     """No-go bound for raising a below-thermal state above the thermal
-    population (p_in < p_beta < p_out <= 1/2)."""
+    population (0 <= p_in < p_beta < p_out <= 1/2).  At p_in = 0 the
+    stage-I conditioning factor p_1 = p_in is zero and the bound is
+    vacuous (probability 0), but still valid."""
     p_beta = ctx.p_beta
-    if not (0.0 < p_in < p_beta < p_out <= 0.5):
+    if not (0.0 <= p_in < p_beta < p_out <= 0.5):
         raise ValueError(
-            f"need 1/2 >= p_out > p_beta > p_in > 0, got "
+            f"need 1/2 >= p_out > p_beta > p_in >= 0, got "
             f"p_in={p_in}, p_beta={p_beta}, p_out={p_out}"
         )
     q_star = (p_out + p_beta) / 2.0

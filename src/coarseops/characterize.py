@@ -10,7 +10,6 @@ and the classifier attaches the applicable quantitative no-go bound.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from coarseops.bounds import (
@@ -87,16 +86,7 @@ def classify_transition(
         # A target above 1/2 inherits the capped target's bound: mixing the
         # output back toward the thermal population is free, so a protocol
         # reaching p_out also realizes the transition to min(p_out, 1/2).
-        p_out_eff = min(p_out, 0.5)
-        if p_in > 0.0:
-            bound = theorem_main_bound(p_in, p_out_eff, ctx)
-        else:
-            # Pure ground input: the occupation-conditioning factor is
-            # zero, leaving a vacuous (but still valid) bound.
-            template = theorem_main_bound(p_beta / 2, p_out_eff, ctx)
-            bound = dataclasses.replace(
-                template, p_1=0.0, probability_lower_bound=0.0
-            )
+        bound = theorem_main_bound(p_in, min(p_out, 0.5), ctx)
     elif p_out < p_beta < p_in:
         bound = theorem_rev_bound(p_in, p_out, ctx)
     else:

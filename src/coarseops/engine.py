@@ -6,8 +6,9 @@ serves protocols and resolved paths alike.  After each level shift it
 drops atoms of zero mass and merges, by `_merge_atoms`, each run of atoms
 with gaps below MERGE_TOL into one atom at first + sum p*(v - first) /
 sum p.  An exhaustive branch enumeration serves as an independent oracle
-for small protocols, and a seeded counter-based Monte Carlo handles
-protocols too large for either.
+for small protocols, and a seeded counter-based Monte Carlo, which draws
+each step's uniforms when the step runs, handles protocols too large for
+either.
 """
 
 from __future__ import annotations
@@ -153,12 +154,13 @@ def final_state(proto: Protocol, initial: QubitState) -> QubitState:
     )
 
 
-def _run_dp(steps, start_energy: float, ctx, p: float, atom_cap: int = ATOM_CAP):
+def _run_dp(steps, start_energy: float, ctx, p: float):
     """Exact work law of a step sequence from gap start_energy and excited
     population p, as parallel arrays: work values with their mass split by
     final occupation.  Thermalizations and swaps mix the occupation
     components in place; only level shifts move mass between work values
-    (the occupied component pays -delta_e)."""
+    (the occupied component pays -delta_e).  Refuses with ResourceError
+    once the support exceeds ATOM_CAP atoms."""
     works = np.array([0.0])
     unocc = np.array([1.0 - p])
     occ = np.array([p])
@@ -187,20 +189,20 @@ def _run_dp(steps, start_energy: float, ctx, p: float, atom_cap: int = ATOM_CAP)
                 if not keep.all():
                     works, unocc, occ = works[keep], unocc[keep], occ[keep]
                 works, unocc, occ = _merge_atoms(works, unocc, occ)
-                if len(works) > atom_cap:
+                if len(works) > ATOM_CAP:
                     raise ResourceError(
-                        f"work support exceeds {atom_cap} atoms; "
+                        f"work support exceeds {ATOM_CAP} atoms; "
                         "use monte_carlo for this protocol"
                     )
     return works, unocc, occ
 
 
 def exact_work_distribution(
-    proto: Protocol, initial: QubitState, atom_cap: int = ATOM_CAP
+    proto: Protocol, initial: QubitState
 ) -> WorkDistribution:
     """Exact law of the total work by dynamic programming (_run_dp)."""
     works, unocc, occ = _run_dp(
-        proto.steps, proto.ctx.e0, proto.ctx, initial.p_excited, atom_cap
+        proto.steps, proto.ctx.e0, proto.ctx, initial.p_excited
     )
     return WorkDistribution.from_atoms(works, unocc + occ)
 
@@ -256,8 +258,9 @@ def brute_force_work_distribution(
     return WorkDistribution.from_atoms(values, probs)
 
 
-# Fixed chunk size so aggregate Monte Carlo results do not depend on how
-# chunks are scheduled across workers.
+# Fixed chunk size, so that a result depends on (seed, n_samples) alone:
+# chunk c always covers the same samples and draws from its own jumped
+# stream.  Peak memory is a few arrays of one chunk's length.
 _MC_CHUNK = 65536
 
 
@@ -278,18 +281,14 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Sampled work law and final-state estimate.
 
-    Counter-based streams: chunk c of a run draws from Philox(seed) jumped
-    c times, and every sample consumes a fixed number of uniforms, so the
-    result is a pure function of (seed, n_samples)."""
+    Chunk c of a run draws from Philox(seed) jumped c times, one uniform
+    per sample for each random choice, in a fixed order: the initial
+    occupation, then each thermalization or swap, in step order.  A thermalization
+    splits its uniform u three ways (u < lam*g occupied, u < lam empty,
+    otherwise unchanged); a swap flips when u < gamma.  The result is a pure
+    function of (seed, n_samples)."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    # Fixed draw layout: one uniform for the initial occupation, two per
-    # thermalization (thermalize? then fresh occupation), one per swap.
-    draw_cols = 1 + sum(
-        2 if isinstance(s, PartialThermalization) else 1
-        for s in proto.steps
-        if not isinstance(s, LevelTransformation)
-    )
     energies = proto.energy_trajectory()
 
     all_values = []
@@ -299,24 +298,18 @@ def monte_carlo(
     for chunk_index, start in enumerate(range(0, n_samples, _MC_CHUNK)):
         m = min(_MC_CHUNK, n_samples - start)
         rng = np.random.Generator(base.jumped(chunk_index))
-        u = rng.random((m, draw_cols))
-        col = 0
-        occupied = u[:, col] < initial.p_excited
-        col += 1
+        occupied = rng.random(m) < initial.p_excited
         work = np.zeros(m)
         for i, step in enumerate(proto.steps):
             if isinstance(step, LevelTransformation):
                 work -= np.where(occupied, step.delta_e, 0.0)
             elif isinstance(step, PartialThermalization):
+                lam = step.lam
                 g = gibbs_population(energies[i], proto.ctx)
-                therm = u[:, col] < step.lam
-                fresh = u[:, col + 1] < g
-                occupied = np.where(therm, fresh, occupied)
-                col += 2
+                u = rng.random(m)
+                occupied = np.where(u < lam, u < lam * g, occupied)
             else:
-                flip = u[:, col] < step.gamma
-                occupied = occupied ^ flip
-                col += 1
+                occupied ^= rng.random(m) < step.gamma
         occupied_total += int(occupied.sum())
         values, counts = np.unique(work, return_counts=True)
         all_values.append(values)

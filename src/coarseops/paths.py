@@ -113,12 +113,12 @@ def random_cyclic_path(rng, ctx: ThermalContext, with_swaps: bool) -> Path:
     return cyclic_path(energies, tags, ctx)
 
 
-def enumerate_paths(proto: Protocol, skip_zero_weight: bool = True) -> list[Path]:
-    """All resolved branches of a protocol with their probabilities.
+def enumerate_paths(proto: Protocol) -> list[Path]:
+    """All resolved branches of a protocol with positive probability.
 
     Each thermalization resolves to IDENTITY (weight 1-lambda) or GIBBS
     (lambda); each swap to IDENTITY (1-gamma) or SWAP (gamma).  Weights of
-    the full enumeration sum to 1."""
+    the enumeration sum to 1."""
     branch_steps = [
         s for s in proto.steps if not isinstance(s, LevelTransformation)
     ]
@@ -149,7 +149,7 @@ def enumerate_paths(proto: Protocol, skip_zero_weight: bool = True) -> list[Path
             pending = 0.0
             tags.append(tag)
         increments.append(pending)
-        if skip_zero_weight and weight == 0.0:
+        if weight == 0.0:
             continue
         paths.append(
             Path(tuple(increments), tuple(tags), weight, proto.ctx, proto.ctx.e0)
@@ -358,26 +358,26 @@ def path_final_state(path: Path, initial: QubitState) -> QubitState:
     ))
 
 
-def epsilon_iii(q_out: float, ctx: ThermalContext) -> float:
-    """Guaranteed stage-III work-loss margin for an endpoint level above the
-    boundary thermal population: strictly positive for q_out > p_beta and
-    zero at q_out = p_beta."""
+def _stage3_margin(q_out: float, ctx: ThermalContext, sign: float) -> float:
+    """sign * (e0 - E(q_out)) + log(Z(e0) / Z(E(q_out))) / beta, where E(q)
+    is the gap at which the thermal population is q."""
     if not 0.0 < q_out < 1.0:
         raise ValueError(f"q_out must lie strictly in (0, 1), got {q_out}")
     e_q = energy_of_population(q_out, ctx)
     log_term = math.log(
         partition_function(ctx.e0, ctx) / partition_function(e_q, ctx)
     ) / ctx.beta
-    return -e_q + ctx.e0 + log_term
+    return sign * (ctx.e0 - e_q) + log_term
+
+
+def epsilon_iii(q_out: float, ctx: ThermalContext) -> float:
+    """Guaranteed stage-III work-loss margin for an endpoint level above the
+    boundary thermal population: strictly positive for q_out > p_beta and
+    zero at q_out = p_beta."""
+    return _stage3_margin(q_out, ctx, 1.0)
 
 
 def epsilon_iii_tilde(q_out: float, ctx: ThermalContext) -> float:
     """Mirror margin for an endpoint level below the boundary thermal
     population: strictly positive for q_out < p_beta."""
-    if not 0.0 < q_out < 1.0:
-        raise ValueError(f"q_out must lie strictly in (0, 1), got {q_out}")
-    e_q = energy_of_population(q_out, ctx)
-    log_term = math.log(
-        partition_function(ctx.e0, ctx) / partition_function(e_q, ctx)
-    ) / ctx.beta
-    return e_q - ctx.e0 + log_term
+    return _stage3_margin(q_out, ctx, -1.0)

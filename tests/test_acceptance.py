@@ -295,6 +295,22 @@ def test_criterion_10_engine_oracle_equivalence():
     assert failures <= 1, failures
 
 
+def test_monte_carlo_within_dkw_band_on_random_protocols():
+    # Partial thermalizations (0 < lambda < 1) and swaps, which the staged
+    # protocol above never draws.  Dvoretzky-Kiefer-Wolfowitz: the sup
+    # distance of an n-sample empirical CDF exceeds eps with probability at
+    # most 2 exp(-2 n eps^2), here alpha = 1e-6 per protocol.
+    n = 20_000
+    eps = math.sqrt(math.log(2 / 1e-6) / (2 * n))
+    for seed in range(60):
+        proto = random_protocol(seed, 8, 2.0, CTX)
+        initial = QubitState((seed % 11) / 10)
+        exact = exact_work_distribution(proto, initial)
+        mc = monte_carlo(proto, initial, n, seed).distribution
+        ks = _ks_statistic(mc, exact)
+        assert ks <= eps, (seed, ks / eps)
+
+
 def test_criterion_11_probability_utilities():
     rng = np.random.default_rng(np.random.Philox(key=1111))
     for _ in range(1000):

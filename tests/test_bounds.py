@@ -166,6 +166,12 @@ def test_theorem_main_linear_in_p_in():
     assert hi.work_threshold == lo.work_threshold
 
 
+def test_theorem_main_vacuous_at_pure_ground_input():
+    b = theorem_main_bound(0.0, 0.375, CTX)
+    assert b.p_1 == 0.0 and b.probability_lower_bound == 0.0
+    assert b.work_threshold == theorem_main_bound(0.125, 0.375, CTX).work_threshold
+
+
 def test_theorem_main_vanishes_toward_p_beta():
     b = theorem_main_bound(0.125, 0.25 + 1e-9, CTX)
     assert 0.0 < b.work_threshold < 1e-8

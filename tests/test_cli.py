@@ -237,6 +237,19 @@ def test_verify_fault_injection_fails_one_check(monkeypatch):
     assert failed == ["bounds_vs_simulation"]
 
 
+def test_verify_appendix_margin_is_positive():
+    # Ties (bound 0 with share 0, bound 1 with share 1) have zero slack;
+    # the reported margin excludes them and adds the swap-segment grid.
+    result = run("verify", "--cases", "200", "--seed", "0", "--format", "json")
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.stdout)
+    [margin] = [c["margin"] for c in doc["checks"]
+                if c["check"] == "appendix_utilities"]
+    slacks = dict(field.split("=") for field in margin.split())
+    assert set(slacks) == {"min_interior_slack", "grid_min_slack"}
+    assert all(float(v) > 0.0 for v in slacks.values()), margin
+
+
 def test_verify_deterministic():
     a = run("verify", "--cases", "10", "--seed", "3")
     b = run("verify", "--cases", "10", "--seed", "3")

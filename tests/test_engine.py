@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,7 +227,7 @@ def test_merge_atoms_sums_every_mass_column():
     assert b.tolist() == [0.25, 0.0]
 
 
-def test_atom_cap_refuses():
+def test_atom_cap_refuses(monkeypatch):
     # Incommensurate shifts double the support each round.
     steps = []
     for k in range(14):
@@ -234,8 +235,9 @@ def test_atom_cap_refuses():
         steps.append(PT(0.5))
         steps.append(LT(-math.sqrt(2 + k)))
     proto = Protocol(CTX, steps)
+    monkeypatch.setattr("coarseops.engine.ATOM_CAP", 1000)
     with pytest.raises(ResourceError):
-        exact_work_distribution(proto, QubitState(0.5), atom_cap=1000)
+        exact_work_distribution(proto, QubitState(0.5))
 
 
 def test_monte_carlo_single_sample():
@@ -264,6 +266,20 @@ def test_monte_carlo_matches_exact():
     p_hat = prob_work_at_most(result.distribution, -1.0)
     assert abs(p_hat - prob_work_at_most(exact, -1.0)) < 4 * sigma
     assert abs(result.distribution.mean - exact.mean) < 4 * result.mean_std_error
+
+
+def test_monte_carlo_memory_is_per_step_not_per_protocol():
+    # One chunk of the 200-round staged protocol: drawing per step keeps a
+    # few chunk-length arrays alive at a time, far below holding every
+    # uniform of the chunk at once (65,536 x 401 doubles, about 200 MB).
+    proto = build_average_work_protocol(0.1, 0.3, CTX, 200)
+    tracemalloc.start()
+    try:
+        monte_carlo(proto, QubitState(0.1), 65_536, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
 
 
 def test_csv_export():
