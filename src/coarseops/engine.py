@@ -1,14 +1,20 @@
 """Exact and sampled evaluation of a protocol.
 
 The exact law of the work random variable is computed by one dynamic
-program over (occupation bit, accumulated work value), `_run_dp`, which
-serves protocols and resolved paths alike.  After each level shift it
-drops atoms of zero mass and merges, by `_merge_atoms`, each run of atoms
-with gaps below MERGE_TOL into one atom at first + sum p*(v - first) /
-sum p.  An exhaustive branch enumeration serves as an independent oracle
-for small protocols, and a seeded counter-based Monte Carlo, which draws
-each step's uniforms when the step runs, handles protocols too large for
-either.
+program over (occupation bit, accumulated work), `_run_dp`, which serves
+protocols and resolved paths alike.  While the protocol's lattice of
+signed shift counts, one axis per distinct |delta_e|, has at most
+32 cells per level shift and at most ATOM_CAP cells (`_shift_lattice`),
+the DP holds the support as that dense lattice: a level shift moves mass
+by an index stride, each atom's work value is formed once at the end, and
+the one merge is the final one in `WorkDistribution.from_atoms`, a stable
+sort in cell order and hence deterministic.  Otherwise, after each level
+shift it drops atoms of zero mass and merges, by `_merge_atoms`, each run
+of atoms with gaps below MERGE_TOL into one atom at
+first + sum p*(v - first) / sum p.  An exhaustive branch enumeration
+serves as an independent oracle for small protocols, and a seeded
+counter-based Monte Carlo, which draws each step's uniforms when the step
+runs, handles protocols too large for either.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ MERGE_TOL = 1e-10
 # Refuse rather than bin beyond this many atoms; binning would corrupt the
 # tail probabilities the bound verifiers rely on.
 ATOM_CAP = 1_000_000
+# Dense shift-count lattice budget, in cells per level shift (_shift_lattice).
+_LATTICE_CELLS_PER_SHIFT = 32
 # Exhaustive enumeration is exponential in the branching steps.
 BRUTE_FORCE_MAX_BRANCHES = 20
 
@@ -154,16 +162,68 @@ def final_state(proto: Protocol, initial: QubitState) -> QubitState:
     )
 
 
+def _shift_lattice(steps):
+    """The dense lattice of signed shift counts of a step sequence, or None
+    when it is too large to pay off or there is no shift to count.
+
+    One axis per distinct |delta_e|, spanning the signed counts its shifts
+    can reach.  Strides ascend in the order of each axis's last shift, so
+    the window of reachable cells grows by the smallest strides while most
+    shifts remain: on a staged protocol it is 2 cells per stage-II round.
+    Returns ([(|delta_e|, stride, size, lowest count)], cells, origin
+    cell).  A cell costs a few array operations per step and a merge of
+    the support costs a sort per shift, so the lattice is used while it has
+    at most _LATTICE_CELLS_PER_SHIFT cells per level shift (plus one) and
+    at most ATOM_CAP cells."""
+    deltas = [s.delta_e for s in steps
+              if isinstance(s, LevelTransformation) and s.delta_e != 0.0]
+    if not deltas:
+        return None
+    limit = min(ATOM_CAP, _LATTICE_CELLS_PER_SHIFT * (len(deltas) + 1))
+    # Each distinct magnitude at least doubles the lattice.
+    if 2 ** len(set(map(abs, deltas))) > limit:
+        return None
+    counts: dict[float, list[int]] = {}
+    for d in deltas:
+        # Re-inserted, so the axes end up ordered by their last shift.
+        n = counts[abs(d)] = counts.pop(abs(d), [0, 0])
+        n[d > 0] += 1
+    axes, cells, origin = [], 1, 0
+    for m, (neg, pos) in counts.items():
+        axes.append((m, cells, neg + pos + 1, neg))
+        origin += neg * cells
+        cells *= neg + pos + 1
+        if cells > limit:
+            return None
+    return axes, cells, origin
+
+
 def _run_dp(steps, start_energy: float, ctx, p: float):
     """Exact work law of a step sequence from gap start_energy and excited
     population p, as parallel arrays: work values with their mass split by
-    final occupation.  Thermalizations and swaps mix the occupation
-    components in place; only level shifts move mass between work values
-    (the occupied component pays -delta_e).  Refuses with ResourceError
-    once the support exceeds ATOM_CAP atoms."""
+    final occupation.  Thermalizations and swaps mix the two occupation
+    columns atom by atom; only level shifts move mass between work values
+    (the occupied column pays -delta_e).
+
+    While the shift-count lattice fits (_shift_lattice), the support is that
+    lattice, flattened, and the columns cover the window of cells the
+    shifts so far can reach: a level shift stores the window and moves the
+    occupied column by its axis's stride with one slice assignment.  The
+    work of a cell, -sum c_j * |delta_e_j| over its signed counts c_j, is
+    formed once at the end, and nothing is merged here: the caller's
+    from_atoms merges once, deterministically (a stable sort in cell
+    order).  Otherwise each level shift appends the shifted atoms, drops
+    atoms of zero mass and merges by _merge_atoms, refusing with
+    ResourceError once the support exceeds ATOM_CAP atoms."""
     works = np.array([0.0])
     unocc = np.array([1.0 - p])
     occ = np.array([p])
+    lattice = _shift_lattice(steps)
+    if lattice is not None:
+        axes, cells, lo = lattice
+        strides = {m: stride for m, stride, _, _ in axes}
+        hi = lo + 1
+        cell_unocc, cell_occ = np.zeros(cells), np.zeros(cells)
     e = start_energy
     for step in steps:
         if isinstance(step, PartialThermalization):
@@ -178,22 +238,39 @@ def _run_dp(steps, start_energy: float, ctx, p: float):
                 (1.0 - gam) * unocc + gam * occ,
                 (1.0 - gam) * occ + gam * unocc,
             )
-        else:
+        elif step.delta_e != 0.0:
             e += step.delta_e
-            if step.delta_e != 0.0:
-                works = np.concatenate([works, works - step.delta_e])
-                empty = np.zeros_like(occ)
-                unocc = np.concatenate([unocc, empty])
-                occ = np.concatenate([empty, occ])
-                keep = (unocc + occ) > 0
-                if not keep.all():
-                    works, unocc, occ = works[keep], unocc[keep], occ[keep]
-                works, unocc, occ = _merge_atoms(works, unocc, occ)
-                if len(works) > ATOM_CAP:
-                    raise ResourceError(
-                        f"work support exceeds {ATOM_CAP} atoms; "
-                        "use monte_carlo for this protocol"
-                    )
+            if lattice is not None:
+                s = strides[abs(step.delta_e)]
+                cell_unocc[lo:hi] = unocc
+                if step.delta_e > 0:
+                    cell_occ[lo + s:hi + s] = occ
+                    cell_occ[lo:min(lo + s, hi)] = 0.0
+                    hi += s
+                else:
+                    cell_occ[lo - s:hi - s] = occ
+                    cell_occ[max(hi - s, lo):hi] = 0.0
+                    lo -= s
+                unocc, occ = cell_unocc[lo:hi], cell_occ[lo:hi]
+                continue
+            works = np.concatenate([works, works - step.delta_e])
+            empty = np.zeros_like(occ)
+            unocc = np.concatenate([unocc, empty])
+            occ = np.concatenate([empty, occ])
+            keep = (unocc + occ) > 0
+            if not keep.all():
+                works, unocc, occ = works[keep], unocc[keep], occ[keep]
+            works, unocc, occ = _merge_atoms(works, unocc, occ)
+            if len(works) > ATOM_CAP:
+                raise ResourceError(
+                    f"work support exceeds {ATOM_CAP} atoms; "
+                    "use monte_carlo for this protocol"
+                )
+    if lattice is not None:
+        cell = np.arange(lo, hi)
+        works = np.zeros(hi - lo)
+        for m, stride, size, neg in axes:
+            works -= (cell // stride % size - neg) * m
     return works, unocc, occ
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 
 def _require_finite(x: float, name: str) -> float:
@@ -35,10 +36,12 @@ class ThermalContext:
         if self.e0 < 0:
             raise ValueError(f"boundary energy must be >= 0, got {self.e0}")
 
-    @property
+    @cached_property
     def p_beta(self) -> float:
         """Excited-level population of the thermal state at the boundary gap.
-        Lies in (0, 1/2] since e0 >= 0."""
+        Lies in (0, 1/2] since e0 >= 0.  Computed once per context; the
+        cached value is no field, so equality, hashing and
+        dataclasses.replace see beta and e0 alone."""
         return gibbs_population(self.e0, self)
 
 

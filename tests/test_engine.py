@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarseops import engine
 from coarseops.engine import (
     MERGE_TOL,
     ResourceError,
@@ -36,7 +37,7 @@ from coarseops.protocol import (
     normalize,
     random_protocol,
 )
-from coarseops.thermo import QubitState, ThermalContext
+from coarseops.thermo import QubitState, ThermalContext, gibbs_population
 
 CTX = ThermalContext(beta=1.0, e0=math.log(3))
 LN3 = math.log(3)
@@ -240,6 +241,96 @@ def test_atom_cap_refuses(monkeypatch):
         exact_work_distribution(proto, QubitState(0.5))
 
 
+def _staged(p_in, rounds):
+    """The staged protocol toward 0.3 and its start (thermal when p_in is
+    None)."""
+    start = CTX.p_beta if p_in is None else p_in
+    return build_average_work_protocol(start, 0.3, CTX, rounds), start
+
+
+def test_staged_law_is_merged_once(monkeypatch):
+    # Within the shift-count lattice nothing is merged per shift: the only
+    # merge is the final one in from_atoms.
+    calls = []
+    merge = engine._merge_atoms
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return merge(*args)
+
+    monkeypatch.setattr(engine, "_merge_atoms", counted)
+    proto, start = _staged(0.1, 2000)
+    dist = exact_work_distribution(proto, QubitState(start))
+    assert len(calls) == 1
+    assert len(dist.values) == 4548
+
+
+def test_atom_cap_refuses_staged_protocol(monkeypatch):
+    # A lattice larger than ATOM_CAP falls back to merging per shift, which
+    # refuses once the support passes the cap (4,548 atoms here).
+    monkeypatch.setattr("coarseops.engine.ATOM_CAP", 1000)
+    proto, start = _staged(0.1, 2000)
+    with pytest.raises(ResourceError):
+        exact_work_distribution(proto, QubitState(start))
+
+
+def _work_moments(proto, p):
+    """Mean and variance of the work by a scalar recursion over the steps:
+    mass, E[W; X] and E[W^2; X] for each final occupation X."""
+    # Index 0: unoccupied, 1: occupied; each entry is (mass, m1, m2).
+    col = [[1.0 - p, 0.0, 0.0], [p, 0.0, 0.0]]
+    energies = proto.energy_trajectory()
+    for step, e in zip(proto.steps, energies):
+        if isinstance(step, LT):
+            d = step.delta_e
+            mass, m1, m2 = col[1]
+            col[1] = [mass, m1 - d * mass, m2 - 2.0 * d * m1 + d * d * mass]
+        elif isinstance(step, PT):
+            g, lam = gibbs_population(e, proto.ctx), step.lam
+            total = [a + b for a, b in zip(*col)]
+            col = [[(1 - lam) * a + lam * (1 - g) * t
+                    for a, t in zip(col[0], total)],
+                   [(1 - lam) * b + lam * g * t
+                    for b, t in zip(col[1], total)]]
+        else:
+            gam = step.gamma
+            col = [[(1 - gam) * a + gam * b for a, b in zip(*col)],
+                   [(1 - gam) * b + gam * a for a, b in zip(*col)]]
+    mean = col[0][1] + col[1][1]
+    return mean, col[0][2] + col[1][2] - mean * mean
+
+
+@pytest.mark.parametrize("p_in, rounds, atoms", [
+    (0.1, 2000, 4548), (None, 3000, 3663),
+])
+def test_staged_law_matches_moment_recursion(p_in, rounds, atoms):
+    proto, start = _staged(p_in, rounds)
+    dist = exact_work_distribution(proto, QubitState(start))
+    mean, variance = _work_moments(proto, start)
+    assert len(dist.values) == atoms
+    assert abs(dist.mean - mean) <= 1e-11
+    assert abs(dist.variance - variance) <= 1e-11
+
+
+def test_dp_matches_brute_force_on_long_random_protocols():
+    # Every random protocol of up to 40 steps that the oracle can reach,
+    # on both sides of the lattice/fallback rule.
+    sides = set()
+    cases = 0
+    for seed in range(100):
+        proto = random_protocol(seed, 40, 2.0, CTX)
+        if sum(not isinstance(s, LT) for s in proto.steps) > 10:
+            continue
+        cases += 1
+        sides.add(engine._shift_lattice(proto.steps) is None)
+        initial = QubitState((seed % 11) / 10)
+        dp = exact_work_distribution(proto, initial)
+        bf = brute_force_work_distribution(proto, initial)
+        assert total_variation(dp, bf) <= 1e-12, f"seed {seed}"
+    assert cases == 44
+    assert sides == {True, False}
+
+
 def test_monte_carlo_single_sample():
     proto = build_thermalize_once(0.0, 1.0, CTX)
     result = monte_carlo(proto, QubitState(0.0), 1, seed=5)
@@ -280,6 +371,21 @@ def test_monte_carlo_memory_is_per_step_not_per_protocol():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, peak
+
+
+def test_monte_carlo_jarzynski_on_long_staged_protocol():
+    # Thermal start, 200 rounds: 400 branching steps, far beyond the
+    # brute-force oracle.  The sample mean of exp(beta W) must lie within
+    # 6 standard errors of 1, the error taken from its sample variance.
+    proto, start = _staged(None, 200)
+    n = 131_072
+    result = monte_carlo(proto, QubitState(start), n, seed=0)
+    d = result.distribution
+    tilt = np.exp(CTX.beta * np.array(d.values))
+    p = np.array(d.probabilities)
+    mean = float(p @ tilt)
+    std_error = math.sqrt(float(p @ (tilt - mean) ** 2) * n / (n - 1) / n)
+    assert abs(mean - 1.0) <= 6 * std_error, (mean, std_error)
 
 
 def test_csv_export():

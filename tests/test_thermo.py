@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -39,6 +40,22 @@ def test_context_invariants():
         ThermalContext(beta=math.inf, e0=1.0)
     assert 0.0 < ThermalContext(beta=2.0, e0=5.0).p_beta <= 0.5
     assert ThermalContext(beta=1.0, e0=0.0).p_beta == pytest.approx(0.5)
+
+
+def test_p_beta_is_cached_and_not_a_field():
+    ctx = ThermalContext(beta=0.7, e0=1.3)
+    twin = ThermalContext(beta=0.7, e0=1.3)
+    assert ctx.p_beta == gibbs_population(ctx.e0, ctx)
+    assert ctx.p_beta is ctx.p_beta
+    # The cached value changes neither equality nor hash, and replace()
+    # builds a context that computes its own.
+    assert ctx == twin and hash(ctx) == hash(twin)
+    assert dataclasses.astuple(ctx) == (0.7, 1.3)
+    moved = dataclasses.replace(ctx, e0=0.2)
+    assert moved.p_beta == gibbs_population(0.2, moved)
+    assert dataclasses.replace(ctx) == ctx
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.e0 = 2.0
 
 
 def test_state_invariants():
