@@ -142,7 +142,10 @@ def simulate(beta, e0, p_beta, protocol_file, p_in, p_out, stage2_steps,
         _fail(EXIT_VALIDATION, str(exc))
     std_error = None
     if samples is not None:
-        result = monte_carlo(proto, initial, samples, seed)
+        try:
+            result = monte_carlo(proto, initial, samples, seed)
+        except ValueError as exc:
+            _fail(EXIT_VALIDATION, str(exc))
         dist, final_p = result.distribution, result.final_p_excited
         std_error = result.mean_std_error
     else:
@@ -270,7 +273,10 @@ def verify(beta, e0, p_beta, cases, seed, fmt):
     ctx = _make_ctx(beta, e0, p_beta, default_p_beta=0.25)
     if cases < 1:
         raise click.UsageError("--cases must be positive")
-    results = run_checks(ctx, cases, seed)
+    try:
+        results = run_checks(ctx, cases, seed)
+    except ValueError as exc:
+        _fail(EXIT_VALIDATION, str(exc))
     ok = all(passed for _, passed, _ in results)
     if fmt == "json":
         checks = [{"check": name, "passed": passed, "margin": margin}

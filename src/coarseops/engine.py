@@ -11,8 +11,9 @@ the one merge is the final one in `WorkDistribution.from_atoms`, a stable
 sort in cell order and hence deterministic.  Otherwise, after each level
 shift it drops atoms of zero mass and merges, by `_merge_atoms`, each run
 of atoms with gaps below MERGE_TOL into one atom at
-first + sum p*(v - first) / sum p.  An exhaustive branch enumeration
-serves as an independent oracle for small protocols, and a seeded
+first + sum p*(v - first) / sum p.  An exhaustive branch enumeration,
+run as a breadth-first frontier of branch arrays that shares no code with
+the DP, serves as an independent oracle for small protocols, and a seeded
 counter-based Monte Carlo, which draws each step's uniforms when the step
 runs, handles protocols too large for either.
 """
@@ -294,7 +295,16 @@ def brute_force_work_distribution(
     proto: Protocol, initial: QubitState
 ) -> WorkDistribution:
     """Independent oracle: exhaustively enumerate every resolved outcome of
-    every random choice, with no DP merging along the way."""
+    every random choice, with no DP merging along the way.
+
+    The branches form a breadth-first frontier of parallel arrays
+    (occupied, probability, work), starting from the occupied and the empty
+    branch.  Before each step the branches of zero probability are dropped.
+    A level shift charges -delta_e to the occupied branches; a
+    thermalization splits every branch into three children (unchanged,
+    occupied, empty) and a swap into two (unchanged, flipped), each
+    branch's children kept adjacent, so the leaves come out in depth-first
+    order.  Nothing is merged before WorkDistribution.from_atoms."""
     branching = sum(
         1
         for s in proto.steps
@@ -306,33 +316,33 @@ def brute_force_work_distribution(
             f"{BRUTE_FORCE_MAX_BRANCHES}"
         )
     energies = proto.energy_trajectory()
-    results: list[tuple[float, float]] = []
-
-    def recurse(i: int, occupied: bool, prob: float, work: float):
-        if prob == 0.0:
-            return
-        if i == len(proto.steps):
-            results.append((work, prob))
-            return
-        step = proto.steps[i]
+    p0 = initial.p_excited
+    occupied = np.array([True, False])
+    prob = np.array([p0, 1.0 - p0])
+    work = np.zeros(2)
+    for i, step in enumerate(proto.steps):
+        live = prob != 0.0
+        if not live.all():
+            occupied, prob, work = occupied[live], prob[live], work[live]
         if isinstance(step, LevelTransformation):
-            w = work - step.delta_e if occupied else work
-            recurse(i + 1, occupied, prob, w)
+            work = np.where(occupied, work - step.delta_e, work)
         elif isinstance(step, PartialThermalization):
             g = gibbs_population(energies[i], proto.ctx)
-            recurse(i + 1, occupied, prob * (1.0 - step.lam), work)
-            recurse(i + 1, True, prob * step.lam * g, work)
-            recurse(i + 1, False, prob * step.lam * (1.0 - g), work)
+            mixed = prob * step.lam
+            occupied = np.stack(
+                [occupied, np.ones_like(occupied), np.zeros_like(occupied)], 1
+            ).ravel()
+            prob = np.stack(
+                [prob * (1.0 - step.lam), mixed * g, mixed * (1.0 - g)], 1
+            ).ravel()
+            work = np.repeat(work, 3)
         else:
-            recurse(i + 1, occupied, prob * (1.0 - step.gamma), work)
-            recurse(i + 1, not occupied, prob * step.gamma, work)
-
-    p0 = initial.p_excited
-    recurse(0, True, p0, 0.0)
-    recurse(0, False, 1.0 - p0, 0.0)
-    values = np.array([w for w, _ in results])
-    probs = np.array([p for _, p in results])
-    return WorkDistribution.from_atoms(values, probs)
+            occupied = np.stack([occupied, ~occupied], 1).ravel()
+            prob = np.stack(
+                [prob * (1.0 - step.gamma), prob * step.gamma], 1
+            ).ravel()
+            work = np.repeat(work, 2)
+    return WorkDistribution.from_atoms(work, prob)
 
 
 # Fixed chunk size, so that a result depends on (seed, n_samples) alone:
@@ -366,6 +376,8 @@ def monte_carlo(
     function of (seed, n_samples)."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
     energies = proto.energy_trajectory()
 
     all_values = []

@@ -3,7 +3,8 @@
 All energies are in natural units with the inverse temperature beta kept
 explicit; entropies are in nats so the free-energy formulas hold without
 unit conversion.  Every function here is a pure total function over finite
-floats; non-finite inputs are rejected eagerly.
+floats, and gibbs_population also maps a float ndarray elementwise, so a
+quadrature grid is one call; non-finite inputs are rejected eagerly.
 """
 
 from __future__ import annotations
@@ -11,6 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
+from numpy import ndarray
+
+# Above this beta*e, exp(beta*e) nears overflow, and exp(-beta*e) equals
+# 1/(1 + exp(beta*e)) to double precision (their ratio is 1 + exp(-700)).
+_LOGISTIC_CUT = 700.0
 
 
 def _require_finite(x: float, name: str) -> float:
@@ -39,7 +47,8 @@ class ThermalContext:
     @cached_property
     def p_beta(self) -> float:
         """Excited-level population of the thermal state at the boundary gap.
-        Lies in (0, 1/2] since e0 >= 0.  Computed once per context; the
+        Lies in (0, 1/2] since e0 >= 0, except that it underflows to 0 once
+        beta*e0 exceeds about 745.  Computed once per context; the
         cached value is no field, so equality, hashing and
         dataclasses.replace see beta and e0 alone."""
         return gibbs_population(self.e0, self)
@@ -58,12 +67,30 @@ class QubitState:
             raise ValueError(f"population must lie in [0, 1], got {self.p_excited}")
 
 
-def gibbs_population(e: float, ctx: ThermalContext) -> float:
+def gibbs_population(e, ctx: ThermalContext):
     """Excited-level population of the thermal state at energy gap e:
-    exp(-beta*e) / (1 + exp(-beta*e)).  Strictly decreasing in e."""
-    e = _require_finite(e, "energy")
-    # Logistic form is stable for both signs of e.
-    return 1.0 / (1.0 + math.exp(ctx.beta * e))
+    exp(-beta*e) / (1 + exp(-beta*e)).  Strictly decreasing in e.
+
+    Evaluated in the logistic form 1/(1 + exp(beta*e)), which is stable for
+    both signs of e, except where beta*e > 700: there it is exp(-beta*e),
+    equal to double precision, and finite however large beta*e grows.  A
+    float gives a float; a float ndarray gives the array of populations,
+    equal to the float results to within a few ulp (numpy's exp against
+    the math module's)."""
+    if isinstance(e, ndarray):
+        e = np.asarray(e, dtype=float)
+        if not np.isfinite(e).all():
+            raise ValueError("energy must be finite, got a non-finite entry")
+        x = ctx.beta * e
+        y = 1.0 / (1.0 + np.exp(np.minimum(x, _LOGISTIC_CUT)))
+        big = x > _LOGISTIC_CUT
+        if big.any():
+            y = np.where(big, np.exp(-np.maximum(x, _LOGISTIC_CUT)), y)
+        return y
+    x = ctx.beta * _require_finite(e, "energy")
+    if x > _LOGISTIC_CUT:
+        return math.exp(-x)
+    return 1.0 / (1.0 + math.exp(x))
 
 
 def energy_of_population(p: float, ctx: ThermalContext) -> float:

@@ -17,22 +17,34 @@ from coarseops import bounds, engine, paths, protocol, thermo
 from coarseops.paths import Tag
 from coarseops.thermo import QubitState, ThermalContext
 
+_TINY = float(np.finfo(float).tiny)
 
-def _simpson(f, a: float, b: float, n: int = 2000) -> float:
-    x = np.linspace(a, b, n + 1)
-    y = np.array([f(float(v)) for v in x])
+
+def _simpson(f, a: float, b: float, *args, n: int = 2000) -> float:
+    """Composite Simpson rule for f over [a, b], calling f(nodes, *args)
+    once on the array of n + 1 nodes."""
+    y = f(np.linspace(a, b, n + 1), *args)
     h = (b - a) / n
     return float(h / 3.0 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum()))
 
 
 def _check_gibbs_quadrature(ctx, cases, rng):
-    worst = 0.0
+    # The quadrature evaluates gibbs_population on whole node arrays, so the
+    # scalar form is checked against the array form at each case's endpoints
+    # and midpoint; the gap is relative, floored at the smallest normal.
+    worst = gap = 0.0
     for _ in range(cases):
         a, b = rng.uniform(-4.0, 4.0, size=2)
         a, b = float(a), float(b)
-        numeric = _simpson(lambda e: thermo.gibbs_population(e, ctx), a, b)
+        numeric = _simpson(thermo.gibbs_population, a, b, ctx)
         worst = max(worst, abs(numeric - thermo.gibbs_integral(a, b, ctx)))
-    return worst <= 1e-9, f"max_quadrature_error={worst:.3e}"
+        points = (a, 0.5 * (a + b), b)
+        vector = thermo.gibbs_population(np.array(points), ctx)
+        for e, v in zip(points, vector.tolist()):
+            s = thermo.gibbs_population(e, ctx)
+            gap = max(gap, abs(s - v) / max(s, _TINY))
+    return (worst <= 1e-9 and gap <= 1e-15,
+            f"max_quadrature_error={worst:.3e} max_scalar_gap={gap:.3e}")
 
 
 def _check_engine_equivalence(ctx, cases, rng):
@@ -144,15 +156,13 @@ def _check_appendix_utilities(ctx, cases, rng):
             if 0.0 < bound < 1.0:
                 tightest = min(tightest, share - bound)
     ok = worst >= -1e-12
-    # Swap-segment inequality grid (x <= sinh x form).
-    grid = math.inf
-    for d1 in np.linspace(1e-3, 5.0, 100):
-        q = thermo.gibbs_population(float(d1), ctx)
-        for d2 in np.linspace(1e-3, 5.0, 100):
-            lhs = 2.0 * q * (1.0 - q) * d1 * d2
-            rhs = (2.0 / ctx.beta) * (0.5 - q) * d2
-            ok = ok and lhs <= rhs + 1e-12
-            grid = min(grid, rhs - lhs)
+    # Swap-segment inequality grid (x <= sinh x form), rows d1, columns d2.
+    d = np.linspace(1e-3, 5.0, 100)
+    q = np.array([thermo.gibbs_population(float(d1), ctx) for d1 in d])[:, None]
+    lhs = 2.0 * q * (1.0 - q) * d[:, None] * d
+    rhs = (2.0 / ctx.beta) * (0.5 - q) * d
+    ok = ok and bool((lhs <= rhs + 1e-12).all())
+    grid = float((rhs - lhs).min())
     return ok, f"min_interior_slack={tightest:.3e} grid_min_slack={grid:.3e}"
 
 
@@ -191,7 +201,11 @@ _CHECKS = [
 def run_checks(ctx: ThermalContext, cases: int, seed: int):
     """Run every check with `cases` randomized instances, check i on its
     own Philox stream keyed seed + 1000*i.  Returns (name, passed, margin)
-    per check, in suite order."""
+    per check, in suite order.  Raises ValueError, before any check runs,
+    when a key would fall outside Philox's range [0, 2**128)."""
+    top = 2**128 - 1 - 1000 * (len(_CHECKS) - 1)
+    if not 0 <= seed <= top:
+        raise ValueError(f"seed must lie in [0, {top}], got {seed}")
     results = []
     for i, (name, check) in enumerate(_CHECKS):
         rng = np.random.Generator(np.random.Philox(key=seed + 1000 * i))

@@ -6,10 +6,11 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from coarseops import bounds
+from coarseops import bounds, thermo, verify
 from coarseops.cli import main
 from coarseops.paths import epsilon_iii
 from coarseops.protocol import (
@@ -250,6 +251,39 @@ def test_verify_appendix_margin_is_positive():
     assert all(float(v) > 0.0 for v in slacks.values()), margin
 
 
+def test_verify_quadrature_checks_the_scalar_gibbs_population(monkeypatch):
+    # The quadrature runs on node arrays; a scalar branch 1e-14 off must
+    # still fail the check, through the reported max_scalar_gap.
+    honest = thermo.gibbs_population
+
+    def skewed(e, ctx):
+        g = honest(e, ctx)
+        return g if isinstance(e, np.ndarray) else g * (1.0 + 1e-14)
+
+    rng = np.random.Generator(np.random.Philox(key=0))
+    passed, margin = verify._check_gibbs_quadrature(CTX, 20, rng)
+    assert passed and "max_scalar_gap=" in margin
+    monkeypatch.setattr(thermo, "gibbs_population", skewed)
+    rng = np.random.Generator(np.random.Philox(key=0))
+    passed, margin = verify._check_gibbs_quadrature(CTX, 20, rng)
+    assert not passed
+    assert float(margin.split("max_scalar_gap=")[1]) >= 1e-14
+
+
+def test_verify_swap_segment_grid_equals_the_double_loop():
+    grid = math.inf
+    for d1 in np.linspace(1e-3, 5.0, 100):
+        q = thermo.gibbs_population(float(d1), CTX)
+        for d2 in np.linspace(1e-3, 5.0, 100):
+            lhs = 2.0 * q * (1.0 - q) * d1 * d2
+            rhs = (2.0 / CTX.beta) * (0.5 - q) * d2
+            grid = min(grid, rhs - lhs)
+    rng = np.random.Generator(np.random.Philox(key=0))
+    passed, margin = verify._check_appendix_utilities(CTX, 5, rng)
+    assert passed
+    assert margin.endswith(f" grid_min_slack={grid:.3e}")
+
+
 def test_verify_deterministic():
     a = run("verify", "--cases", "10", "--seed", "3")
     b = run("verify", "--cases", "10", "--seed", "3")
@@ -262,3 +296,36 @@ def test_verify_rejects_bad_cases():
 
 def test_unknown_option_is_usage_error():
     assert run("simulate", "--frobnicate").exit_code == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("classify", "--beta", "800", "--e0", "1", "--p-in", "0.1",
+     "--p-out", "0.3"),
+    ("verify", "--cases", "2", "--beta", "400"),
+])
+def test_large_beta_times_gap_prints_no_traceback(args):
+    # beta*e beyond exp's overflow point: the Gibbs curve is still finite.
+    result = run(*args)
+    assert result.exit_code in (0, 2, 3), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+@pytest.mark.parametrize("args", [
+    ("verify", "--cases", "1"),
+    ("simulate", "--p-beta", "0.25", "--p-out", "0.3", "--samples", "10"),
+])
+def test_seed_outside_philox_range_is_validation_error(args, seed):
+    result = run(*args, "--seed", seed)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: seed must lie in [0, ")
+
+
+def test_verify_highest_seed_runs_every_check():
+    # run_checks keys check i at seed + 1000*i, up to 2**128 - 1.
+    top = 2**128 - 1 - 9000
+    assert run("verify", "--cases", "1", "--seed", str(top)).exit_code == 0
+    assert run("verify", "--cases", "1", "--seed", str(top + 1)).exit_code == 2

@@ -3,6 +3,7 @@ Monte Carlo sampler."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import tracemalloc
@@ -124,6 +125,77 @@ def test_brute_force_branch_limit():
     proto = Protocol(CTX, [PT(0.5)] * 21)
     with pytest.raises(ResourceError):
         brute_force_work_distribution(proto, QubitState(0.5))
+
+
+def _recursive_oracle(proto, i, occupied, prob, work, leaves):
+    """The depth-first branch recursion the frontier oracle replaced, kept
+    as its reference: same arithmetic, leaves appended in visiting order."""
+    if prob == 0.0:
+        return
+    if i == len(proto.steps):
+        leaves.append((work, prob))
+        return
+    step = proto.steps[i]
+    if isinstance(step, LT):
+        w = work - step.delta_e if occupied else work
+        _recursive_oracle(proto, i + 1, occupied, prob, w, leaves)
+    elif isinstance(step, PT):
+        g = gibbs_population(proto.energy_trajectory()[i], proto.ctx)
+        _recursive_oracle(proto, i + 1, occupied, prob * (1.0 - step.lam), work, leaves)
+        _recursive_oracle(proto, i + 1, True, prob * step.lam * g, work, leaves)
+        _recursive_oracle(proto, i + 1, False, prob * step.lam * (1.0 - g), work, leaves)
+    else:
+        _recursive_oracle(proto, i + 1, occupied, prob * (1.0 - step.gamma), work, leaves)
+        _recursive_oracle(proto, i + 1, not occupied, prob * step.gamma, work, leaves)
+
+
+def test_brute_force_frontier_equals_recursion_bit_for_bit():
+    for seed in range(60):
+        proto = random_protocol(seed, 8, 2.0, CTX)
+        p0 = (seed % 11) / 10
+        leaves = []
+        _recursive_oracle(proto, 0, True, p0, 0.0, leaves)
+        _recursive_oracle(proto, 0, False, 1.0 - p0, 0.0, leaves)
+        reference = WorkDistribution.from_atoms(
+            [w for w, _ in leaves], [p for _, p in leaves])
+        assert brute_force_work_distribution(proto, QubitState(p0)) == reference
+
+
+@pytest.mark.parametrize("steps, p_in, leaves", [
+    # Swaps that never flip, from either pure state: one live branch.
+    ([BT(0.0), LT(1.0), BT(0.0), LT(-1.0)] * 3, 1.0, 1),
+    ([BT(0.0), LT(1.0), BT(0.0), LT(-1.0)] * 3, 0.0, 1),
+    # Full thermalizations: the unchanged child has zero probability, so
+    # each live branch has two live children (2 * 3**4 leaves unpruned).
+    ([PT(1.0), LT(0.7)] * 4, 0.0, 16),
+    ([PT(1.0), LT(-0.4), PT(1.0), LT(0.4), BT(0.0)] * 2, 1.0, 32),
+])
+def test_brute_force_prunes_zero_probability_branches(monkeypatch, steps,
+                                                      p_in, leaves):
+    seen = []
+    from_atoms = WorkDistribution.from_atoms
+
+    def spy(values, probs):
+        seen.append(len(values))
+        return from_atoms(values, probs)
+
+    monkeypatch.setattr(WorkDistribution, "from_atoms", staticmethod(spy))
+    proto = Protocol(CTX, steps)
+    initial = QubitState(p_in)
+    bf = brute_force_work_distribution(proto, initial)
+    assert seen == [leaves]
+    assert total_variation(exact_work_distribution(proto, initial), bf) <= 1e-12
+
+
+def test_brute_force_leaves_no_reference_cycle():
+    proto = random_protocol(5, 8, 2.0, CTX)
+    gc.collect()
+    gc.disable()
+    try:
+        brute_force_work_distribution(proto, QubitState(0.3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_dp_matches_brute_force_on_random_protocols():

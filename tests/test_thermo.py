@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,6 +75,46 @@ def test_gibbs_population_values():
     assert gibbs_population(50.0, CTX) < 1e-20
     with pytest.raises(ValueError):
         gibbs_population(math.inf, CTX)
+
+
+def _relative_gap(array, scalar):
+    # Relative to the scalar value, floored at the smallest normal float so
+    # that results deep in the exp(-beta*e) tail compare by absolute ulps.
+    return np.abs(array - scalar) / np.maximum(scalar, np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 7.0])
+def test_gibbs_population_array_matches_scalar(beta):
+    ctx = ThermalContext(beta, 0.0)
+    below = np.linspace(-40.0, 40.0, 100_001)
+    # Both sides of the beta*e > 700 cut, into the denormal tail and past it.
+    above = np.linspace(690.0, 800.0, 2_001) / beta
+    for e in (below, above):
+        array = gibbs_population(e, ctx)
+        scalar = np.array([gibbs_population(float(v), ctx) for v in e])
+        assert array.shape == e.shape
+        assert _relative_gap(array, scalar).max() <= 1e-15
+
+
+def test_gibbs_population_above_the_cut_is_the_exponential_tail():
+    ctx = ThermalContext(1.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gibbs_population(710.0, ctx) == math.exp(-710.0)
+        assert gibbs_population(1e308, ThermalContext(10.0, 0.0)) == 0.0
+        tail = gibbs_population(np.array([700.5, 710.0, 800.0]), ctx)
+    assert tail.tolist() == [math.exp(-700.5), math.exp(-710.0), 0.0]
+    # At the cut the two forms agree to double precision.
+    assert gibbs_population(700.0, ctx) == pytest.approx(math.exp(-700.0),
+                                                         rel=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gibbs_population_array_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        gibbs_population(np.array([0.0, bad, 1.0]), CTX)
+    with pytest.raises(ValueError):
+        gibbs_population(np.array(bad), CTX)
 
 
 def test_energy_of_population_values():
