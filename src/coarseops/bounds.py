@@ -28,10 +28,12 @@ class NoGoBound:
     regime: str
 
     def __post_init__(self):
-        for name in ("p_1", "p_2", "p_3", "p_f"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        if not (0.0 <= self.p_1 <= 1.0 and 0.0 <= self.p_2 <= 1.0
+                and 0.0 <= self.p_3 <= 1.0 and 0.0 <= self.p_f <= 1.0):
+            for name in ("p_1", "p_2", "p_3", "p_f"):
+                v = getattr(self, name)
+                if not 0.0 <= v <= 1.0:
+                    raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.work_threshold < 0.0:
             raise ValueError("work threshold must be nonnegative")
 

@@ -124,6 +124,11 @@ def simulate(beta, e0, p_beta, protocol_file, p_in, p_out, stage2_steps,
         if p_out is None:
             raise click.UsageError("provide --protocol or --p-out")
         ctx = _make_ctx(beta, e0, p_beta, default_p_beta=0.25)
+        if p_in is None and ctx.p_beta == 0.0:
+            _fail(EXIT_VALIDATION,
+                  "the boundary thermal population underflows to 0 at "
+                  f"beta*e0 = {ctx.beta * ctx.e0:.6g}; give the start "
+                  "population with --p-in")
         start = ctx.p_beta if p_in is None else p_in
         try:
             proto = build_average_work_protocol(start, p_out, ctx, stage2_steps)

@@ -2,20 +2,23 @@
 
 The exact law of the work random variable is computed by one dynamic
 program over (occupation bit, accumulated work), `_run_dp`, which serves
-protocols and resolved paths alike.  While the protocol's lattice of
-signed shift counts, one axis per distinct |delta_e|, has at most
-32 cells per level shift and at most ATOM_CAP cells (`_shift_lattice`),
-the DP holds the support as that dense lattice: a level shift moves mass
-by an index stride, each atom's work value is formed once at the end, and
-the one merge is the final one in `WorkDistribution.from_atoms`, a stable
-sort in cell order and hence deterministic.  Otherwise, after each level
-shift it drops atoms of zero mass and merges, by `_merge_atoms`, each run
-of atoms with gaps below MERGE_TOL into one atom at
-first + sum p*(v - first) / sum p.  An exhaustive branch enumeration,
-run as a breadth-first frontier of branch arrays that shares no code with
-the DP, serves as an independent oracle for small protocols, and a seeded
-counter-based Monte Carlo, which draws each step's uniforms when the step
-runs, handles protocols too large for either.
+protocols and resolved paths alike.  Until the first level shift the
+support is one atom at work 0, held as plain floats, and
+`WorkDistribution.from_atoms` returns a law of at most one atom without
+sorting or merging.  While the protocol's lattice of signed shift counts,
+one axis per distinct |delta_e|, has at most 32 cells per level shift and
+at most ATOM_CAP cells (`_shift_lattice`), the DP holds the support as
+that dense lattice: a level shift moves mass by an index stride, each
+atom's work value is formed once at the end, and the one merge is the
+final one in `WorkDistribution.from_atoms`, a stable sort in cell order
+and hence deterministic.  Otherwise, after each level shift it drops atoms
+of zero mass and merges, by `_merge_atoms`, each run of atoms with gaps
+below MERGE_TOL into one atom at first + sum p*(v - first) / sum p.  An
+exhaustive branch enumeration, run as a breadth-first frontier of branch
+arrays that shares no code with the DP, serves as an independent oracle
+for small protocols, and a seeded counter-based Monte Carlo, which draws
+each step's uniforms when the step runs, handles protocols too large for
+either.
 """
 
 from __future__ import annotations
@@ -82,8 +85,18 @@ class WorkDistribution:
 
     @staticmethod
     def from_atoms(values, probs) -> "WorkDistribution":
+        """The law of atoms given as parallel arrays (or one float each):
+        atoms without positive mass are dropped and the rest merged by
+        _merge_atoms.  A single atom, the whole law of a shift-free
+        protocol, needs no sort or merge and is kept as it is when its mass
+        is positive."""
         values = np.asarray(values, dtype=float)
         probs = np.asarray(probs, dtype=float)
+        if values.size <= 1:
+            # At most one atom: nothing to sort or merge.
+            if values.size == 0 or not probs.item() > 0:
+                return WorkDistribution((), ())
+            return WorkDistribution((values.item(),), (probs.item(),))
         keep = probs > 0
         values, probs = _merge_atoms(values[keep], probs[keep])
         return WorkDistribution(tuple(values.tolist()), tuple(probs.tolist()))
@@ -206,19 +219,19 @@ def _run_dp(steps, start_energy: float, ctx, p: float):
     columns atom by atom; only level shifts move mass between work values
     (the occupied column pays -delta_e).
 
-    While the shift-count lattice fits (_shift_lattice), the support is that
-    lattice, flattened, and the columns cover the window of cells the
-    shifts so far can reach: a level shift stores the window and moves the
-    occupied column by its axis's stride with one slice assignment.  The
-    work of a cell, -sum c_j * |delta_e_j| over its signed counts c_j, is
+    Until the first level shift the support is the one atom at work 0, so
+    the columns are plain floats, with the same IEEE results as one-element
+    arrays; a shift-free sequence returns floats.  While the shift-count
+    lattice fits (_shift_lattice), the support is that lattice, flattened,
+    and the columns cover the window of cells the shifts so far can reach:
+    a level shift stores the window and moves the occupied column by its
+    axis's stride with one slice assignment.  The work of a cell, -sum c_j * |delta_e_j| over its signed counts c_j, is
     formed once at the end, and nothing is merged here: the caller's
     from_atoms merges once, deterministically (a stable sort in cell
     order).  Otherwise each level shift appends the shifted atoms, drops
     atoms of zero mass and merges by _merge_atoms, refusing with
     ResourceError once the support exceeds ATOM_CAP atoms."""
-    works = np.array([0.0])
-    unocc = np.array([1.0 - p])
-    occ = np.array([p])
+    works, unocc, occ = 0.0, 1.0 - p, p
     lattice = _shift_lattice(steps)
     if lattice is not None:
         axes, cells, lo = lattice
@@ -254,10 +267,10 @@ def _run_dp(steps, start_energy: float, ctx, p: float):
                     lo -= s
                 unocc, occ = cell_unocc[lo:hi], cell_occ[lo:hi]
                 continue
-            works = np.concatenate([works, works - step.delta_e])
+            works = np.append(works, works - step.delta_e)
             empty = np.zeros_like(occ)
-            unocc = np.concatenate([unocc, empty])
-            occ = np.concatenate([empty, occ])
+            unocc = np.append(unocc, empty)
+            occ = np.append(empty, occ)
             keep = (unocc + occ) > 0
             if not keep.all():
                 works, unocc, occ = works[keep], unocc[keep], occ[keep]
@@ -288,7 +301,7 @@ def exact_work_distribution(
 def dp_final_occupation(proto: Protocol, initial: QubitState) -> float:
     """Occupation marginal of the exact DP, for cross-checking final_state."""
     _, _, occ = _run_dp(proto.steps, proto.ctx.e0, proto.ctx, initial.p_excited)
-    return float(occ.sum())
+    return float(np.sum(occ))
 
 
 def brute_force_work_distribution(

@@ -39,10 +39,8 @@ from coarseops.protocol import (
 from coarseops.thermo import (
     QubitState,
     ThermalContext,
-    energy_of_population,
     gibbs_integral,
     gibbs_population,
-    partition_function,
 )
 
 ENUMERATION_MAX_BRANCHES = 24
@@ -363,11 +361,14 @@ def _stage3_margin(q_out: float, ctx: ThermalContext, sign: float) -> float:
     is the gap at which the thermal population is q."""
     if not 0.0 < q_out < 1.0:
         raise ValueError(f"q_out must lie strictly in (0, 1), got {q_out}")
-    e_q = energy_of_population(q_out, ctx)
+    # energy_of_population and partition_function written out, operation
+    # for operation: q_out is checked above and the context on creation.
+    beta, e0 = ctx.beta, ctx.e0
+    e_q = -math.log(q_out / (1.0 - q_out)) / beta
     log_term = math.log(
-        partition_function(ctx.e0, ctx) / partition_function(e_q, ctx)
-    ) / ctx.beta
-    return sign * (ctx.e0 - e_q) + log_term
+        (1.0 + math.exp(-beta * e0)) / (1.0 + math.exp(-beta * e_q))
+    ) / beta
+    return sign * (e0 - e_q) + log_term
 
 
 def epsilon_iii(q_out: float, ctx: ThermalContext) -> float:

@@ -32,9 +32,11 @@ def _check_gibbs_quadrature(ctx, cases, rng):
     # The quadrature evaluates gibbs_population on whole node arrays, so the
     # scalar form is checked against the array form at each case's endpoints
     # and midpoint; the gap is relative, floored at the smallest normal.
+    # Endpoints lie in [-4, 4]/beta, so the Gibbs curve spans the same share
+    # of the Simpson grid at every beta.
     worst = gap = 0.0
     for _ in range(cases):
-        a, b = rng.uniform(-4.0, 4.0, size=2)
+        a, b = rng.uniform(-4.0, 4.0, size=2) / ctx.beta
         a, b = float(a), float(b)
         numeric = _simpson(thermo.gibbs_population, a, b, ctx)
         worst = max(worst, abs(numeric - thermo.gibbs_integral(a, b, ctx)))
@@ -101,10 +103,13 @@ def _check_variance_area_refutation(ctx, cases, rng):
     # passes when the pinned counterexample (one thermalized segment moved
     # away from zero gap) still violates it, keeping the refutation on
     # record.  See the variance_area_toward_zero check for the regime in
-    # which the inequality does hold.
-    path = paths.cyclic_path((1.0, 3.0), (Tag.GIBBS, Tag.GIBBS), ctx)
+    # which the inequality does hold.  The segment runs from gap 1/beta to
+    # 3/beta, so the excess scales as 1/beta^2 and is gated and reported in
+    # units of 1/beta^2, the same figure at every beta.
+    beta = ctx.beta
+    path = paths.cyclic_path((1.0 / beta, 3.0 / beta), (Tag.GIBBS,) * 2, ctx)
     var = paths.stage2_work_distribution(path).variance
-    excess = var - (2.0 / ctx.beta) * paths.area_between(path).total
+    excess = beta * beta * (var - (2.0 / beta) * paths.area_between(path).total)
     return excess > 0.1, f"counterexample_excess={excess:.6f}"
 
 

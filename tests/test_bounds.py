@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from coarseops.bounds import (
+    NoGoBound,
     cantelli_lower,
     exact_binomial_upper_tail,
     hoeffding_tail,
@@ -234,6 +235,24 @@ def test_bound_json_shape():
     assert set(d) == {"threshold", "probability", "components", "regime"}
     assert set(d["components"]) == {"p1", "p2", "p3", "pf"}
     assert d["regime"] == "A6"
+
+
+_COMPONENTS = {"p_1": 0.5, "p_2": 0.25, "p_3": 0.75, "p_f": 1.0}
+
+
+@pytest.mark.parametrize("name", sorted(_COMPONENTS))
+@pytest.mark.parametrize("value", [math.nan, -0.1, 1.1])
+def test_no_go_bound_rejects_component_outside_unit_interval(name, value):
+    components = {**_COMPONENTS, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must lie in \\[0, 1\\]"):
+        NoGoBound(0.1, 0.05, regime="A6", **components)
+
+
+def test_no_go_bound_rejects_negative_threshold():
+    with pytest.raises(ValueError, match="threshold must be nonnegative"):
+        NoGoBound(-1e-12, 0.05, regime="A6", **_COMPONENTS)
+    # The ends of every range are admitted.
+    NoGoBound(0.0, 0.0, 0.0, 0.0, 1.0, 1.0, "A6")
 
 
 def test_reverse_markov_examples():

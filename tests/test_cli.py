@@ -311,6 +311,29 @@ def test_large_beta_times_gap_prints_no_traceback(args):
     assert "Traceback" not in result.output
 
 
+def test_simulate_underflowed_thermal_start_names_the_cause():
+    # exp(-800) underflows, so the default thermal start is no population
+    # a staged protocol can start from; the start must be given.
+    args = ("simulate", "--beta", "800", "--e0", "1", "--p-out", "0.3")
+    result = run(*args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: the boundary thermal population "
+                           "underflows to 0 at beta*e0 = 800;")
+    assert "--p-in" in line
+    assert isinstance(result.exception, SystemExit)
+    assert run(*args, "--p-in", "0.1", "--stage2-steps", "4").exit_code == 0
+
+
+def test_verify_passes_at_large_beta():
+    # The quadrature endpoints and the refutation's pinned path scale with
+    # 1/beta, so beta = 400 tests the same physics as beta = 1.
+    result = run("verify", "--cases", "2", "--beta", "400")
+    assert result.exit_code == 0, result.output
+    assert "(counterexample_excess=0.240031)" in result.stdout
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])
 @pytest.mark.parametrize("args", [
     ("verify", "--cases", "1"),

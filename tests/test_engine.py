@@ -320,9 +320,8 @@ def _staged(p_in, rounds):
     return build_average_work_protocol(start, 0.3, CTX, rounds), start
 
 
-def test_staged_law_is_merged_once(monkeypatch):
-    # Within the shift-count lattice nothing is merged per shift: the only
-    # merge is the final one in from_atoms.
+def _count_merges(monkeypatch):
+    """Record the support size of every _merge_atoms call."""
     calls = []
     merge = engine._merge_atoms
 
@@ -331,6 +330,13 @@ def test_staged_law_is_merged_once(monkeypatch):
         return merge(*args)
 
     monkeypatch.setattr(engine, "_merge_atoms", counted)
+    return calls
+
+
+def test_staged_law_is_merged_once(monkeypatch):
+    # Within the shift-count lattice nothing is merged per shift: the only
+    # merge is the final one in from_atoms.
+    calls = _count_merges(monkeypatch)
     proto, start = _staged(0.1, 2000)
     dist = exact_work_distribution(proto, QubitState(start))
     assert len(calls) == 1
@@ -344,6 +350,63 @@ def test_atom_cap_refuses_staged_protocol(monkeypatch):
     proto, start = _staged(0.1, 2000)
     with pytest.raises(ResourceError):
         exact_work_distribution(proto, QubitState(start))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("p_in", [0.0, 1.0])
+def test_shift_free_law_is_one_atom_without_merge(monkeypatch, lam, p_in):
+    # Without a level shift the support never leaves the atom at 0: there
+    # is nothing to sort or merge.
+    calls = _count_merges(monkeypatch)
+    proto = Protocol(CTX, [PT(lam)])
+    dist = exact_work_distribution(proto, QubitState(p_in))
+    assert (dist.values, dist.probabilities) == ((0.0,), (1.0,))
+    assert calls == []
+    assert dp_final_occupation(proto, QubitState(p_in)) == final_state(
+        proto, QubitState(p_in)).p_excited
+
+
+def test_from_atoms_keeps_a_single_atom_of_positive_mass():
+    assert WorkDistribution.from_atoms([], []) == WorkDistribution((), ())
+    assert WorkDistribution.from_atoms([2.5], [0.0]) == WorkDistribution((), ())
+    assert WorkDistribution.from_atoms(-1.5, 0.25) == WorkDistribution(
+        (-1.5,), (0.25,))
+
+
+# Mixing steps before the first level shift, each followed by a random
+# protocol with at least one shift: the columns start as one float atom and
+# become arrays at the first shift.  Swaps run at zero boundary gap.
+_ZERO_GAP = ThermalContext(1.0, 0.0)
+_MIXING_PREFIXES = [
+    (CTX, [PT(0.3)]),
+    (CTX, [PT(1.0), PT(0.45)]),
+    (_ZERO_GAP, [BT(0.35), PT(0.6)]),
+    (_ZERO_GAP, [PT(0.2), BT(1.0), BT(0.5)]),
+]
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_dp_matches_brute_force_after_mixing_prefix(monkeypatch, fallback):
+    if fallback:
+        monkeypatch.setattr(engine, "_LATTICE_CELLS_PER_SHIFT", 0)
+    cases = on_lattice = 0
+    for k, (ctx, prefix) in enumerate(_MIXING_PREFIXES):
+        for seed in range(25):
+            steps = random_protocol(seed, 8, 2.0, ctx).steps
+            if all(not isinstance(s, LT) or s.delta_e == 0.0 for s in steps):
+                continue
+            proto = Protocol(ctx, prefix + list(steps))
+            on_lattice += engine._shift_lattice(proto.steps) is not None
+            for p in (0.0, 0.37, 1.0):
+                initial = QubitState(p)
+                dp = exact_work_distribution(proto, initial)
+                bf = brute_force_work_distribution(proto, initial)
+                assert total_variation(dp, bf) <= 1e-12, (k, seed, p)
+                assert dp_final_occupation(proto, initial) == pytest.approx(
+                    final_state(proto, initial).p_excited, abs=1e-14)
+                cases += 1
+    assert cases == 288
+    assert on_lattice == (0 if fallback else 92)
 
 
 def _work_moments(proto, p):

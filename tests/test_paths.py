@@ -34,6 +34,7 @@ from coarseops.thermo import (
     ThermalContext,
     energy_of_population,
     gibbs_population,
+    partition_function,
 )
 
 CTX = ThermalContext(beta=1.0, e0=math.log(3))
@@ -310,3 +311,19 @@ def test_epsilon_functions_relate_to_energy_map():
     assert epsilon_iii_tilde(q, CTX) == pytest.approx(
         e_q - CTX.e0 + log_term, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("ctx", [CTX, ThermalContext(0.3, 2.0),
+                                 ThermalContext(7.0, 0.05)])
+def test_stage3_margins_equal_thermo_composition_bit_for_bit(ctx):
+    # The margins write out energy_of_population and partition_function;
+    # they must keep the bits of the composed thermo functions.
+    rng = np.random.Generator(np.random.Philox(key=3))
+    for q in np.concatenate([rng.uniform(1e-6, 1 - 1e-6, size=2000),
+                             ctx.p_beta * (1 + np.linspace(-1e-9, 1e-9, 41))]):
+        q = float(q)
+        e_q = energy_of_population(q, ctx)
+        log_term = math.log(partition_function(ctx.e0, ctx)
+                            / partition_function(e_q, ctx)) / ctx.beta
+        assert epsilon_iii(q, ctx) == (ctx.e0 - e_q) + log_term, q
+        assert epsilon_iii_tilde(q, ctx) == -(ctx.e0 - e_q) + log_term, q
