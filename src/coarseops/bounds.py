@@ -6,6 +6,16 @@ loses at least `work_threshold` of work with probability at least
 `probability_lower_bound`.  The probability factors as p_1 (stage-I
 conditioning), p_2 (stage-II concentration), p_3 (stage-III conditioning),
 and p_f (fraction of branches ending beyond the pivot level q*).
+
+Every forbidden move p_in -> p_out is bounded by one composer,
+`_stage_bound`, from a reference level: p_beta for crossing the thermal
+population (A6 raising, A7 lowering) and p_in for moving away from it on
+one side (A8).  The pivot is q* = (p_out + ref)/2 and p_f = |p_out - ref|/2.
+The side of the move picks the stage-III margin and p_3: epsilon_iii and
+p_3 = q* upward, epsilon_iii_tilde and p_3 = 1 - q* downward.  p_1 is
+min(p_in, 1 - p_in).  A margin that rounds below 0 (p_out within an ulp or
+two of p_beta) is taken as 0, which makes the bound vacuous (threshold 0,
+probability 0) but keeps it valid.
 """
 
 from __future__ import annotations
@@ -51,13 +61,19 @@ class NoGoBound:
         }
 
 
-def _stage_bound(margin, q_star, ctx, p1, p3, pf, regime) -> NoGoBound:
-    """Compose the stage bounds at the pivot level q*: the stage-III margin
-    eps = margin(q*), the stage-II probability p_2 = min{2/3, eps/(8/beta +
-    eps)} (stage II absorbs half the margin, hence the 8/beta) and the loss
-    threshold eps/2."""
-    eps = margin(q_star, ctx)
+def _stage_bound(p_in, p_out, ref, ctx, regime) -> NoGoBound:
+    """Compose the stage bounds for the move from `ref` toward p_out (see
+    the module docstring): the loss threshold is eps/2 and p_2 = min{2/3,
+    eps/(8/beta + eps)}, since stage II absorbs half the margin."""
+    q_star = (p_out + ref) / 2.0
+    if p_out >= ref:
+        eps, p3 = epsilon_iii(q_star, ctx), q_star
+    else:
+        eps, p3 = epsilon_iii_tilde(q_star, ctx), 1.0 - q_star
+    eps = max(eps, 0.0)
+    p1 = min(p_in, 1.0 - p_in)
     p2 = min(2.0 / 3.0, eps / (8.0 / ctx.beta + eps))
+    pf = abs(p_out - ref) / 2.0
     return NoGoBound(eps / 2.0, p1 * p2 * p3 * pf, p1, p2, p3, pf, regime)
 
 
@@ -122,8 +138,9 @@ def lemma_path_bound(
             f"need 1/2 >= q_out > p_beta > p_in > 0, got "
             f"p_in={p_in}, p_beta={p_beta}, q_out={q_out}"
         )
-    b = _stage_bound(epsilon_iii, q_out, ctx, p_in, q_out, 1.0, "path")
-    return b.work_threshold, b.probability_lower_bound
+    # The one path ends at its own pivot q_out: p_f = 1, not |q_out - q_out|/2.
+    b = _stage_bound(p_in, q_out, q_out, ctx, "path")
+    return b.work_threshold, b.p_1 * b.p_2 * b.p_3
 
 
 def theorem_main_bound(
@@ -139,10 +156,7 @@ def theorem_main_bound(
             f"need 1/2 >= p_out > p_beta > p_in >= 0, got "
             f"p_in={p_in}, p_beta={p_beta}, p_out={p_out}"
         )
-    q_star = (p_out + p_beta) / 2.0
-    return _stage_bound(
-        epsilon_iii, q_star, ctx, p_in, q_star, (p_out - p_beta) / 2.0, "A6"
-    )
+    return _stage_bound(p_in, p_out, p_beta, ctx, "A6")
 
 
 def theorem_rev_bound(
@@ -157,11 +171,7 @@ def theorem_rev_bound(
             f"need 0 <= p_out < p_beta < p_in < 1, got "
             f"p_in={p_in}, p_beta={p_beta}, p_out={p_out}"
         )
-    q_star = (p_out + p_beta) / 2.0
-    return _stage_bound(
-        epsilon_iii_tilde, q_star, ctx, min(p_in, 1.0 - p_in), 1.0 - q_star,
-        (p_beta - p_out) / 2.0, "A7",
-    )
+    return _stage_bound(p_in, p_out, p_beta, ctx, "A7")
 
 
 def theorem_same_side(
@@ -174,21 +184,12 @@ def theorem_same_side(
     probability; this is a constructive instantiation composing the
     stage bounds of the applicable side at q* = (p_in + p_out)/2."""
     p_beta = ctx.p_beta
-    q_star = (p_in + p_out) / 2.0
-    if p_beta <= p_in < p_out:
-        return _stage_bound(
-            epsilon_iii, q_star, ctx, min(p_in, 1.0 - p_in), q_star,
-            (p_out - p_in) / 2.0, "A8",
+    if not (p_beta <= p_in < p_out or p_beta >= p_in > p_out >= 0.0):
+        raise ValueError(
+            f"need p_beta <= p_in < p_out or p_beta >= p_in > p_out, got "
+            f"p_in={p_in}, p_beta={p_beta}, p_out={p_out}"
         )
-    if p_beta >= p_in > p_out >= 0.0:
-        return _stage_bound(
-            epsilon_iii_tilde, q_star, ctx, p_in, 1.0 - q_star,
-            (p_in - p_out) / 2.0, "A8",
-        )
-    raise ValueError(
-        f"need p_beta <= p_in < p_out or p_beta >= p_in > p_out, got "
-        f"p_in={p_in}, p_beta={p_beta}, p_out={p_out}"
-    )
+    return _stage_bound(p_in, p_out, p_in, ctx, "A8")
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,7 @@ def synthesize_protocol(
         if p_out >= ctx.p_beta:
             # Mix the pure excited state down toward the thermal population;
             # no level moves, so no work at all.
-            lam = (1.0 - p_out) / (1.0 - ctx.p_beta)
+            lam = mixing_coefficient(1.0, p_out, ctx)
             return Protocol(ctx, [PartialThermalization(lam)])
         # Reset to the ground state (extracts the gap when occupied, never
         # pays), then mix up toward the thermal population.

@@ -117,41 +117,31 @@ def enumerate_paths(proto: Protocol) -> list[Path]:
     Each thermalization resolves to IDENTITY (weight 1-lambda) or GIBBS
     (lambda); each swap to IDENTITY (1-gamma) or SWAP (gamma).  Weights of
     the enumeration sum to 1."""
-    branch_steps = [
-        s for s in proto.steps if not isinstance(s, LevelTransformation)
-    ]
-    if len(branch_steps) > ENUMERATION_MAX_BRANCHES:
+    increments, choices = [0.0], []  # shared by every branch
+    for step in proto.steps:
+        if isinstance(step, LevelTransformation):
+            increments[-1] += step.delta_e
+            continue
+        if isinstance(step, PartialThermalization):
+            w, taken = step.lam, Tag.GIBBS
+        else:
+            w, taken = step.gamma, Tag.SWAP
+        choices.append(((1.0 - w, Tag.IDENTITY), (w, taken)))
+        increments.append(0.0)
+    if len(choices) > ENUMERATION_MAX_BRANCHES:
         raise ValueError(
-            f"{len(branch_steps)} branching steps exceed the enumeration "
+            f"{len(choices)} branching steps exceed the enumeration "
             f"limit of {ENUMERATION_MAX_BRANCHES}"
         )
+    increments = tuple(increments)
     paths = []
-    for picks in itertools.product((False, True), repeat=len(branch_steps)):
-        weight = 1.0
-        tags: list[Tag] = []
-        increments: list[float] = []
-        pending = 0.0
-        it = iter(picks)
-        for step in proto.steps:
-            if isinstance(step, LevelTransformation):
-                pending += step.delta_e
-                continue
-            taken = next(it)
-            if isinstance(step, PartialThermalization):
-                weight *= step.lam if taken else (1.0 - step.lam)
-                tag = Tag.GIBBS if taken else Tag.IDENTITY
-            else:
-                weight *= step.gamma if taken else (1.0 - step.gamma)
-                tag = Tag.SWAP if taken else Tag.IDENTITY
-            increments.append(pending)
-            pending = 0.0
-            tags.append(tag)
-        increments.append(pending)
-        if weight == 0.0:
-            continue
-        paths.append(
-            Path(tuple(increments), tuple(tags), weight, proto.ctx, proto.ctx.e0)
-        )
+    for picks in itertools.product(*choices):
+        weight = math.prod((w for w, _ in picks), start=1.0)
+        if weight != 0.0:
+            # From a list: a tuple grown from a generator is allocated at a
+            # guessed size and shrunk, stranding memory on tuple free lists.
+            paths.append(Path(increments, tuple([t for _, t in picks]),
+                              weight, proto.ctx, proto.ctx.e0))
     return paths
 
 
@@ -159,34 +149,33 @@ def shrink(path: Path) -> Path:
     """Canonical form: identity tags removed (their surrounding increments
     glued), and adjacent swap pairs with zero net increment in between
     cancelled (a swap is an involution).  The conditional work law is
-    unchanged."""
-    increments = list(path.increments)
-    tags = list(path.tags)
-    # Remove identity tags, merging the increment before the tag into the
-    # increment after it.
-    i = 0
-    while i < len(tags):
-        if tags[i] is Tag.IDENTITY:
-            increments[i + 1] += increments[i]
-            del increments[i]
-            del tags[i]
+    unchanged.
+
+    Two linear passes: the first glues every identity, the second cancels
+    swap pairs leftmost first against a stack of the shrunk prefix.  Fusing
+    them would re-associate the sums where an identity follows a pair."""
+    glued, glued_tags = [], []
+    carry = path.increments[0]
+    for tag, inc in zip(path.tags, path.increments[1:]):
+        if tag is Tag.IDENTITY:
+            carry = inc + carry
         else:
-            i += 1
-    # Cancel S,S pairs separated by zero net shift.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(tags) - 1):
-            if (
-                tags[i] is Tag.SWAP
-                and tags[i + 1] is Tag.SWAP
-                and abs(increments[i + 1]) < MERGE_TOL
-            ):
-                increments[i + 2] += increments[i + 1] + increments[i]
-                del increments[i : i + 2]
-                del tags[i : i + 2]
-                changed = True
-                break
+            glued.append(carry)
+            glued_tags.append(tag)
+            carry = inc
+    glued.append(carry)
+    increments, tags = [], []
+    carry = glued[0]
+    for tag, inc in zip(glued_tags, glued[1:]):
+        if (tag is Tag.SWAP and tags and tags[-1] is Tag.SWAP
+                and abs(carry) < MERGE_TOL):
+            tags.pop()
+            carry = inc + (carry + increments.pop())
+        else:
+            increments.append(carry)
+            tags.append(tag)
+            carry = inc
+    increments.append(carry)
     return Path(tuple(increments), tuple(tags), path.weight, path.ctx,
                 path.start_energy)
 

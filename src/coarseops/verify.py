@@ -20,9 +20,10 @@ from coarseops.thermo import QubitState, ThermalContext
 _TINY = float(np.finfo(float).tiny)
 
 
-def _simpson(f, a: float, b: float, *args, n: int = 2000) -> float:
-    """Composite Simpson rule for f over [a, b], calling f(nodes, *args)
-    once on the array of n + 1 nodes."""
+def _simpson(f, a: float, b: float, *args) -> float:
+    """Composite Simpson rule for f over [a, b] on n = 2000 intervals,
+    calling f(nodes, *args) once on the array of n + 1 nodes."""
+    n = 2000
     y = f(np.linspace(a, b, n + 1), *args)
     h = (b - a) / n
     return float(h / 3.0 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum()))
@@ -172,15 +173,21 @@ def _check_appendix_utilities(ctx, cases, rng):
 
 
 def _check_bounds_vs_simulation(ctx, cases, rng):
+    # Raising pairs run from p_beta/2 to levels in (p_beta, 1/2], lowering
+    # pairs from levels in (p_beta, 1) to 2 p_beta/5, each through its own
+    # theorem.  A pair is dropped unless both levels are positive and lie on
+    # either side of p_beta (a level can round onto p_beta, and p_beta can be
+    # 1/2 or underflow to 0), so an empty run reads inf.
+    p_beta, n = ctx.p_beta, max(2, cases // 2)
+    pairs = [(bounds.theorem_main_bound, p_beta / 2.0, p)
+             for p in np.linspace(p_beta, 0.5, n + 1)[1:].tolist()]
+    pairs += [(bounds.theorem_rev_bound, p, 2.0 * p_beta / 5.0)
+              for p in np.linspace(p_beta, 1.0, n + 2)[1:-1].tolist()]
     worst = math.inf
-    raising = [(0.125, p) for p in np.linspace(0.27, 0.5, max(2, cases // 2))]
-    lowering = [(p, 0.1) for p in np.linspace(0.3, 0.95, max(2, cases // 2))]
-    for p_in, p_out in raising + lowering:
-        p_in, p_out = float(p_in), float(p_out)
-        if p_in < ctx.p_beta < p_out:
-            bound = bounds.theorem_main_bound(p_in, p_out, ctx)
-        else:
-            bound = bounds.theorem_rev_bound(p_in, p_out, ctx)
+    for theorem, p_in, p_out in pairs:
+        if not 0.0 < min(p_in, p_out) < p_beta < max(p_in, p_out):
+            continue
+        bound = theorem(p_in, p_out, ctx)
         e_out = thermo.energy_of_population(p_out, ctx)
         proto = protocol.build_thermalize_once(e_out, 1.0, ctx)
         dist = engine.exact_work_distribution(proto, QubitState(p_in))

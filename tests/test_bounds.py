@@ -230,6 +230,46 @@ def test_theorem_same_side_domain_errors():
             theorem_same_side(p_in, p_out, CTX)
 
 
+# One bound per regime, as composed before the regimes shared one composer;
+# the composer must keep every bit.
+PINNED_REPRS = [
+    (theorem_main_bound, (0.125, 0.375),
+     "NoGoBound(work_threshold=0.11157177565710491, probability_lower_bound="
+     "6.625009735341917e-05, p_1=0.125, p_2=0.027136039875960496, "
+     "p_3=0.3125, p_f=0.0625, regime='A6')"),
+    (theorem_rev_bound, (0.6, 0.125),
+     "NoGoBound(work_threshold=0.22388374389942678, probability_lower_bound="
+     "0.0010766486067532708, p_1=0.4, p_2=0.053004239101699484, "
+     "p_3=0.8125, p_f=0.0625, regime='A7')"),
+    (theorem_same_side, (0.3, 0.4),
+     "NoGoBound(work_threshold=0.16823611831060648, probability_lower_bound="
+     "0.00021189769390719227, p_1=0.3, p_2=0.04036146550613186, "
+     "p_3=0.35, p_f=0.05000000000000002, regime='A8')"),
+    (theorem_same_side, (0.2, 0.1),
+     "NoGoBound(work_threshold=0.3805759548370012, probability_lower_bound="
+     "0.0007384635375497967, p_1=0.2, p_2=0.08687806324115255, "
+     "p_3=0.85, p_f=0.05, regime='A8')"),
+    (lemma_path_bound, (0.125, 0.5),
+     "(0.3465735902799727, 0.004983430958338628)"),
+]
+
+
+@pytest.mark.parametrize("bound, args, expected", PINNED_REPRS)
+def test_bounds_keep_their_pinned_bits(bound, args, expected):
+    assert repr(bound(*args, CTX)) == expected
+
+
+def test_margin_rounding_below_zero_gives_a_vacuous_bound():
+    # p_in = p_beta and p_out one ulp below: the stage-III margin at the
+    # pivot rounds to -5.6e-17, which the composer takes as 0.
+    ctx = ThermalContext(1.0, 2.751535313041949)
+    p_in, p_out = 0.06000000000000001, 0.060000000000000005
+    assert epsilon_iii_tilde((p_in + p_out) / 2.0, ctx) < 0.0
+    b = theorem_same_side(p_in, p_out, ctx)
+    assert (b.work_threshold, b.probability_lower_bound, b.p_2) == (0, 0, 0)
+    assert 0.0 < b.p_1 <= 1.0 and 0.0 < b.p_3 <= 1.0 and 0.0 < b.p_f <= 1.0
+
+
 def test_bound_json_shape():
     d = theorem_main_bound(0.125, 0.375, CTX).to_json_dict()
     assert set(d) == {"threshold", "probability", "components", "regime"}

@@ -164,3 +164,36 @@ def test_json_verdict_shape():
     assert d["bound"]["regime"] == "A6"
     d = classify_transition(1.0, 0.1, CTX).to_json_dict()
     assert d == {"verdict": "pure_excited"}
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+def test_classifier_is_total_one_or_two_ulp_from_p_beta(beta):
+    # Next to p_beta the stage-III margin can round below 0; the bound must
+    # then be vacuous (threshold 0, probability 0), never an error.
+    vacuous = 0
+    for nominal in np.linspace(0.01, 0.49, 97).tolist():
+        ctx = ThermalContext(
+            beta, energy_of_population(nominal, ThermalContext(beta, 0.0))
+        )
+        below = math.nextafter(ctx.p_beta, 0.0)
+        above = math.nextafter(ctx.p_beta, 1.0)
+        near = (math.nextafter(below, 0.0), below, ctx.p_beta, above,
+                math.nextafter(above, 1.0))
+        for p_in in near:
+            for p_out in near:
+                bound = classify_transition(p_in, p_out, ctx).bound
+                if bound is None:
+                    continue
+                components = (bound.p_1, bound.p_2, bound.p_3, bound.p_f,
+                              bound.probability_lower_bound)
+                assert all(0.0 <= c <= 1.0 for c in components)
+                assert bound.work_threshold >= 0.0
+                vacuous += bound.probability_lower_bound == 0.0
+    assert vacuous > 0
+
+
+def test_pure_excited_witness_mixes_down_with_the_mixing_coefficient():
+    for p_out in (CTX.p_beta, 0.5, 0.9, 1.0):
+        c = classify_transition(1.0, p_out, CTX)
+        [step] = synthesize_protocol(c, 1.0, p_out, CTX).steps
+        assert step.lam == (1.0 - p_out) / (1.0 - CTX.p_beta)

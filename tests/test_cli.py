@@ -215,6 +215,32 @@ def test_bounds_achievable_is_error():
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["classify", "bounds"])
+def test_forbidden_move_one_ulp_from_p_beta_is_vacuous(command):
+    # p_in = p_beta and p_out an ulp away: the stage-III margin rounds below
+    # 0, and the bound is vacuous instead of a validation error.
+    result = run(command, "--e0", "2.751535313041949",
+                 "--p-in", "0.06000000000000001",
+                 "--p-out", "0.060000000000000005")
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.stdout)
+    bound = doc["bound"] if command == "classify" else doc
+    assert bound["threshold"] == 0.0 and bound["probability"] == 0.0
+
+
+@pytest.mark.parametrize("ctx_args", [
+    ("--p-beta", "0.05"), ("--p-beta", "0.3"), ("--p-beta", "0.45"),
+    ("--e0", "0"), ("--beta", "800", "--e0", "1"),
+])
+def test_verify_passes_at_any_accepted_context(ctx_args):
+    # bounds_vs_simulation builds its pairs from p_beta; once p_beta
+    # underflows to 0 neither family has a pair, and the margin says so.
+    result = run("verify", "--cases", "4", *ctx_args)
+    assert result.exit_code == 0, result.output
+    empty = "PASS bounds_vs_simulation (min_probability_slack=inf)"
+    assert (empty in result.stdout) == (ctx_args[1] == "800")
+
+
 def test_verify_passes_by_default():
     result = run("verify", "--cases", "15")
     assert result.exit_code == 0, result.output

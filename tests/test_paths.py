@@ -3,12 +3,18 @@ decomposition, Gibbs-curve areas, and the stage-III loss margins."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from coarseops.engine import exact_work_distribution, final_state, total_variation
+from coarseops.engine import (
+    MERGE_TOL,
+    exact_work_distribution,
+    final_state,
+    total_variation,
+)
 from coarseops.paths import (
     Path,
     Tag,
@@ -25,6 +31,8 @@ from coarseops.paths import (
     stage2_work_distribution,
 )
 from coarseops.protocol import (
+    LevelTransformation,
+    PartialThermalization,
     PartialThermalization as PT,
     Protocol,
     random_protocol,
@@ -139,6 +147,126 @@ def test_shrink_preserves_work_law():
                 )
                 <= 1e-12
             )
+
+
+# Reference implementations: enumeration re-walking the protocol for every
+# branch, and shrinking that restarts its scan after every cancellation.
+# The linear-pass versions must reproduce them bit for bit.
+def reference_enumerate_paths(proto):
+    branch_steps = [
+        s for s in proto.steps if not isinstance(s, LevelTransformation)
+    ]
+    paths = []
+    for picks in itertools.product((False, True), repeat=len(branch_steps)):
+        weight = 1.0
+        tags = []
+        increments = []
+        pending = 0.0
+        it = iter(picks)
+        for step in proto.steps:
+            if isinstance(step, LevelTransformation):
+                pending += step.delta_e
+                continue
+            taken = next(it)
+            if isinstance(step, PartialThermalization):
+                weight *= step.lam if taken else (1.0 - step.lam)
+                tag = Tag.GIBBS if taken else Tag.IDENTITY
+            else:
+                weight *= step.gamma if taken else (1.0 - step.gamma)
+                tag = Tag.SWAP if taken else Tag.IDENTITY
+            increments.append(pending)
+            pending = 0.0
+            tags.append(tag)
+        increments.append(pending)
+        if weight == 0.0:
+            continue
+        paths.append(
+            Path(tuple(increments), tuple(tags), weight, proto.ctx, proto.ctx.e0)
+        )
+    return paths
+
+
+def reference_shrink(path):
+    increments = list(path.increments)
+    tags = list(path.tags)
+    i = 0
+    while i < len(tags):
+        if tags[i] is Tag.IDENTITY:
+            increments[i + 1] += increments[i]
+            del increments[i]
+            del tags[i]
+        else:
+            i += 1
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(tags) - 1):
+            if (
+                tags[i] is Tag.SWAP
+                and tags[i + 1] is Tag.SWAP
+                and abs(increments[i + 1]) < MERGE_TOL
+            ):
+                increments[i + 2] += increments[i + 1] + increments[i]
+                del increments[i : i + 2]
+                del tags[i : i + 2]
+                changed = True
+                break
+    return Path(tuple(increments), tuple(tags), path.weight, path.ctx,
+                path.start_energy)
+
+
+def adversarial_path(seed: int):
+    """Mostly swaps and identities, separated by increments of 0, below
+    MERGE_TOL, exactly MERGE_TOL or of order 1: swap runs, nested pairs and
+    identities after cancelled pairs all occur."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    increments = [float(rng.uniform(-1.0, 1.0))]
+    tags = []
+    for _ in range(int(rng.integers(0, 14))):
+        r = rng.random()
+        tags.append(S if r < 0.55 else I if r < 0.85 else G)
+        r = rng.random()
+        if r < 0.35:
+            increments.append(0.0)
+        elif r < 0.6:
+            increments.append(float(rng.uniform(-MERGE_TOL, MERGE_TOL)))
+        elif r < 0.7:
+            increments.append(float(rng.choice([-1.0, 1.0])) * MERGE_TOL)
+        else:
+            increments.append(float(rng.uniform(-2.0, 2.0)))
+    return make_path(increments, tags, weight=float(rng.random()))
+
+
+@pytest.mark.parametrize("max_steps, seeds", [(6, 400), (8, 400), (12, 60)])
+def test_enumerate_and_shrink_match_the_references(max_steps, seeds):
+    for seed in range(seeds):
+        proto = random_protocol(seed, max_steps, 2.0, CTX)
+        paths = enumerate_paths(proto)
+        expected = reference_enumerate_paths(proto)
+        assert repr(paths) == repr(expected), seed
+        assert repr([shrink(p) for p in paths]) == repr(
+            [reference_shrink(p) for p in expected]), seed
+
+
+def test_shrink_matches_the_reference_on_adversarial_tags():
+    nested = 0
+    for seed in range(8000):
+        path = adversarial_path(seed)
+        out = shrink(path)
+        assert repr(out) == repr(reference_shrink(path)), seed
+        nested += path.tags.count(S) - out.tags.count(S) >= 4
+    assert nested > 0
+
+
+def test_shrink_cancels_nested_pairs_and_glues_identities_after_them():
+    # The inner pair (gap 0) cancels first and leaves the outer pair a gap
+    # of 1 + 0 - 1 = 0; the identity's increment was glued beforehand.
+    path = make_path([0.5, 1.0, 0.0, -1.0, 0.25, 0.125, 0.0],
+                     [S, S, S, S, I, G])
+    out = shrink(path)
+    assert out.tags == (G,)
+    assert out.increments == ((0.125 + 0.25) + (0.0 + 0.5), 0.0)
+    assert repr(out) == repr(reference_shrink(path))
 
 
 def test_decompose_stages_example():
