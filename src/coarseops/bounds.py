@@ -178,16 +178,16 @@ def theorem_same_side(
     p_in: float, p_out: float, ctx: ThermalContext
 ) -> NoGoBound:
     """No-go bound for moving away from the thermal population on the same
-    side (p_beta <= p_in < p_out or p_beta >= p_in > p_out).
+    side (p_beta <= p_in < p_out <= 1 or p_beta >= p_in > p_out >= 0).
 
     The source result asserts only a positive loss with positive
     probability; this is a constructive instantiation composing the
     stage bounds of the applicable side at q* = (p_in + p_out)/2."""
     p_beta = ctx.p_beta
-    if not (p_beta <= p_in < p_out or p_beta >= p_in > p_out >= 0.0):
+    if not (p_beta <= p_in < p_out <= 1.0 or p_beta >= p_in > p_out >= 0.0):
         raise ValueError(
-            f"need p_beta <= p_in < p_out or p_beta >= p_in > p_out, got "
-            f"p_in={p_in}, p_beta={p_beta}, p_out={p_out}"
+            "need p_beta <= p_in < p_out <= 1 or p_beta >= p_in > p_out >= 0, "
+            f"got p_in={p_in}, p_beta={p_beta}, p_out={p_out}"
         )
     return _stage_bound(p_in, p_out, p_in, ctx, "A8")
 

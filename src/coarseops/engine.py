@@ -16,9 +16,11 @@ of zero mass and merges, by `_merge_atoms`, each run of atoms with gaps
 below MERGE_TOL into one atom at first + sum p*(v - first) / sum p.  An
 exhaustive branch enumeration, run as a breadth-first frontier of branch
 arrays that shares no code with the DP, serves as an independent oracle
-for small protocols, and a seeded counter-based Monte Carlo, which draws
-each step's uniforms when the step runs, handles protocols too large for
-either.
+for small protocols, and a seeded counter-based Monte Carlo handles
+protocols too large for either.  The sampler reads each step's raw Philox
+words when the step runs and decides every branch on integer thresholds
+that agree exactly with numpy's uniform doubles, so it follows the stream
+of Generator.random bit for bit without forming a double.
 """
 
 from __future__ import annotations
@@ -376,17 +378,32 @@ class MonteCarloResult:
         return math.sqrt(d.variance / self.n_samples)
 
 
+def _uniform_below(words: np.ndarray, t: float) -> np.ndarray:
+    """The mask u < t of the uniforms numpy's Generator.random forms from
+    raw Philox words x, u = (x >> 11) * 2**-53, decided on the words: u < t
+    exactly when x < ceil(t * 2**53) << 11 (the product is exact, a scaling
+    by a power of two), and for every word once ceil(t * 2**53) >= 2**53."""
+    k = math.ceil(t * 2.0**53)
+    if k >= 2**53:
+        return np.ones(len(words), dtype=bool)
+    return words < (max(k, 0) << 11)
+
+
 def monte_carlo(
     proto: Protocol, initial: QubitState, n_samples: int, seed: int
 ) -> MonteCarloResult:
     """Sampled work law and final-state estimate.
 
-    Chunk c of a run draws from Philox(seed) jumped c times, one uniform
-    per sample for each random choice, in a fixed order: the initial
-    occupation, then each thermalization or swap, in step order.  A thermalization
-    splits its uniform u three ways (u < lam*g occupied, u < lam empty,
-    otherwise unchanged); a swap flips when u < gamma.  The result is a pure
-    function of (seed, n_samples)."""
+    Chunk c of a run reads raw 64-bit words from Philox(seed) jumped c
+    times, one word per sample for each random choice, in a fixed order:
+    the initial occupation, then each thermalization or swap, in step
+    order.  Each choice compares the uniform u = (x >> 11) * 2**-53 of its
+    word x with a threshold, decided on the word itself (`_uniform_below`),
+    so the stream and every branch are those of Generator(Philox).random.
+    A thermalization splits u three ways (u < lam*g occupied, u < lam
+    empty, otherwise unchanged; at lam = 1 the old occupation is forgotten
+    and one comparison decides); a swap flips when u < gamma.  The result
+    is a pure function of (seed, n_samples)."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if not 0 <= seed < 2**128:
@@ -399,20 +416,28 @@ def monte_carlo(
     base = np.random.Philox(key=seed)
     for chunk_index, start in enumerate(range(0, n_samples, _MC_CHUNK)):
         m = min(_MC_CHUNK, n_samples - start)
-        rng = np.random.Generator(base.jumped(chunk_index))
-        occupied = rng.random(m) < initial.p_excited
+        words = base.jumped(chunk_index).random_raw
+        occupied = _uniform_below(words(m), initial.p_excited)
         work = np.zeros(m)
         for i, step in enumerate(proto.steps):
             if isinstance(step, LevelTransformation):
-                work -= np.where(occupied, step.delta_e, 0.0)
+                # An empty sample subtracts -0.0 when delta_e < 0, a no-op:
+                # work starts at +0.0 and never becomes -0.0.
+                work -= occupied * step.delta_e
             elif isinstance(step, PartialThermalization):
                 lam = step.lam
                 g = gibbs_population(energies[i], proto.ctx)
-                u = rng.random(m)
-                occupied = np.where(u < lam, u < lam * g, occupied)
+                x = words(m)
+                if lam == 1.0:
+                    occupied = _uniform_below(x, g)
+                else:
+                    # u < lam*g implies u < lam, so this is the three-way split.
+                    occupied = _uniform_below(x, lam * g) | (
+                        occupied & ~_uniform_below(x, lam)
+                    )
             else:
-                occupied ^= rng.random(m) < step.gamma
-        occupied_total += int(occupied.sum())
+                occupied ^= _uniform_below(words(m), step.gamma)
+        occupied_total += int(np.count_nonzero(occupied))
         values, counts = np.unique(work, return_counts=True)
         all_values.append(values)
         all_counts.append(counts.astype(float))

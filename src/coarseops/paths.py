@@ -94,19 +94,22 @@ def cyclic_path(energies, tags, ctx: ThermalContext) -> Path:
 
 def random_cyclic_path(rng, ctx: ThermalContext, with_swaps: bool) -> Path:
     """Seeded corpus generator: a cyclic path opening and closing with
-    Gibbs draws at gaps in [-2, 2], with 1-5 tags between; with
-    `with_swaps` each of those is a swap at zero gap with probability 1/2."""
+    Gibbs draws at gaps in [-2, 2]/beta, with 1-5 tags between; with
+    `with_swaps` each of those is a swap at zero gap with probability 1/2.
+    Scaling the gaps by 1/beta keeps beta times the gap, and with it every
+    population, the same at every beta."""
+    beta = ctx.beta
     n_mid = int(rng.integers(1, 6))
-    energies = [float(rng.uniform(-2.0, 2.0))]
+    energies = [float(rng.uniform(-2.0, 2.0)) / beta]
     tags = [Tag.GIBBS]
     for _ in range(n_mid):
         if with_swaps and rng.random() < 0.5:
             energies.append(0.0)
             tags.append(Tag.SWAP)
         else:
-            energies.append(float(rng.uniform(-2.0, 2.0)))
+            energies.append(float(rng.uniform(-2.0, 2.0)) / beta)
             tags.append(Tag.GIBBS)
-    energies.append(float(rng.uniform(-2.0, 2.0)))
+    energies.append(float(rng.uniform(-2.0, 2.0)) / beta)
     tags.append(Tag.GIBBS)
     return cyclic_path(energies, tags, ctx)
 

@@ -5,6 +5,13 @@ bounds.  Each check takes (ctx, cases, rng) and returns (passed, margin),
 where margin is a one-line "name=value" report of its worst case.  The
 layers are called through their modules, so that a tracer patching module
 attributes (perfbench/spans.py) still sees each call.
+
+Every energy a check draws or pins is a multiple of 1/beta, and every
+margin in units of energy (energy squared) is multiplied by beta (beta
+squared) before it is gated and reported.  A check then tests the same
+populations at every beta and reports the same figure, instead of passing
+on the frozen tail of the Gibbs curve at large beta; at beta = 1 both
+scalings are exact no-ops.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ def _check_gibbs_quadrature(ctx, cases, rng):
     # scalar form is checked against the array form at each case's endpoints
     # and midpoint; the gap is relative, floored at the smallest normal.
     # Endpoints lie in [-4, 4]/beta, so the Gibbs curve spans the same share
-    # of the Simpson grid at every beta.
+    # of the Simpson grid at every beta; the integral is an energy.
     worst = gap = 0.0
     for _ in range(cases):
         a, b = rng.uniform(-4.0, 4.0, size=2) / ctx.beta
@@ -46,6 +53,7 @@ def _check_gibbs_quadrature(ctx, cases, rng):
         for e, v in zip(points, vector.tolist()):
             s = thermo.gibbs_population(e, ctx)
             gap = max(gap, abs(s - v) / max(s, _TINY))
+    worst *= ctx.beta
     return (worst <= 1e-9 and gap <= 1e-15,
             f"max_quadrature_error={worst:.3e} max_scalar_gap={gap:.3e}")
 
@@ -53,7 +61,7 @@ def _check_gibbs_quadrature(ctx, cases, rng):
 def _check_engine_equivalence(ctx, cases, rng):
     worst = 0.0
     for seed in range(cases):
-        proto = protocol.random_protocol(seed, 8, 2.0, ctx)
+        proto = protocol.random_protocol(seed, 8, 2.0 / ctx.beta, ctx)
         initial = QubitState(float(rng.uniform(0.0, 1.0)))
         tv = engine.total_variation(
             engine.exact_work_distribution(proto, initial),
@@ -66,10 +74,11 @@ def _check_engine_equivalence(ctx, cases, rng):
 def _check_stage_closure(ctx, cases, rng):
     worst = 0.0
     for seed in range(cases):
-        proto = protocol.random_protocol(seed, 6, 2.0, ctx)
+        proto = protocol.random_protocol(seed, 6, 2.0 / ctx.beta, ctx)
         for path in paths.enumerate_paths(proto):
             d = paths.decompose_stages(paths.shrink(path))
             worst = max(worst, abs(d.delta_f_1 + d.delta_f_2 + d.delta_f_3))
+    worst *= ctx.beta
     return worst <= 1e-10, f"max_closure_residual={worst:.3e}"
 
 
@@ -81,21 +90,25 @@ def _check_mean_area(ctx, cases, rng):
         area = paths.area_between(path).total
         identity = -paths.decompose_stages(path).delta_f_2 - area
         worst = max(worst, abs(mean - identity))
+    worst *= ctx.beta
     return worst <= 1e-9, f"max_identity_residual={worst:.3e}"
 
 
 def _check_variance_area_toward_zero(ctx, cases, rng):
+    beta = ctx.beta
     worst = -math.inf
     for _ in range(cases):
-        e = float(rng.uniform(1.0, 3.0)) * (1 if rng.random() < 0.5 else -1)
+        e = float(rng.uniform(1.0, 3.0)) / beta
+        e *= 1 if rng.random() < 0.5 else -1
         energies = [e]
         for _ in range(int(rng.integers(1, 6))):
             e = float(rng.uniform(0, abs(e))) * math.copysign(1.0, e)
             energies.append(e)
         path = paths.cyclic_path(energies, (Tag.GIBBS,) * len(energies), ctx)
         var = paths.stage2_work_distribution(path).variance
-        excess = var - (2.0 / ctx.beta) * paths.area_between(path).total
+        excess = var - (2.0 / beta) * paths.area_between(path).total
         worst = max(worst, excess)
+    worst *= beta * beta
     return worst <= 1e-9, f"max_variance_excess={worst:.3e}"
 
 
@@ -120,7 +133,7 @@ def _check_w2_concentration(ctx, cases, rng):
         path = paths.random_cyclic_path(rng, ctx, with_swaps=rng.random() < 0.5)
         dist = paths.stage2_work_distribution(path)
         delta_f_2 = paths.decompose_stages(path).delta_f_2
-        for eps in (0.05, 0.5, 2.0, 8.0):
+        for eps in [e / ctx.beta for e in (0.05, 0.5, 2.0, 8.0)]:
             measured = engine.prob_work_at_most(dist, -delta_f_2 + eps)
             bound = bounds.lemma_w2_probability(eps, ctx)
             worst = min(worst, measured - bound)
@@ -162,13 +175,15 @@ def _check_appendix_utilities(ctx, cases, rng):
             if 0.0 < bound < 1.0:
                 tightest = min(tightest, share - bound)
     ok = worst >= -1e-12
-    # Swap-segment inequality grid (x <= sinh x form), rows d1, columns d2.
-    d = np.linspace(1e-3, 5.0, 100)
+    # Swap-segment inequality grid (x <= sinh x form), rows d1, columns d2,
+    # at gaps in [1e-3, 5]/beta; both sides are energies squared.
+    beta = ctx.beta
+    d = np.linspace(1e-3, 5.0, 100) / beta
     q = np.array([thermo.gibbs_population(float(d1), ctx) for d1 in d])[:, None]
     lhs = 2.0 * q * (1.0 - q) * d[:, None] * d
-    rhs = (2.0 / ctx.beta) * (0.5 - q) * d
-    ok = ok and bool((lhs <= rhs + 1e-12).all())
-    grid = float((rhs - lhs).min())
+    rhs = (2.0 / beta) * (0.5 - q) * d
+    ok = ok and bool((lhs <= rhs + 1e-12 / (beta * beta)).all())
+    grid = beta * beta * float((rhs - lhs).min())
     return ok, f"min_interior_slack={tightest:.3e} grid_min_slack={grid:.3e}"
 
 

@@ -230,6 +230,19 @@ def test_theorem_same_side_domain_errors():
             theorem_same_side(p_in, p_out, CTX)
 
 
+@pytest.mark.parametrize("p_in, p_out", [(0.5, 1.05), (0.9, 1.5)])
+def test_theorem_same_side_refuses_populations_above_one(p_in, p_out):
+    # Both once slipped past the domain check: the first returned a bound
+    # with p_f = 0.275, the second failed inside the stage-III margin.
+    with pytest.raises(ValueError, match=r"^need p_beta <= p_in < p_out <= 1 "):
+        theorem_same_side(p_in, p_out, CTX)
+
+
+def test_theorem_same_side_accepts_the_pure_excited_target():
+    b = theorem_same_side(0.5, 1.0, CTX)
+    assert b.regime == "A8" and b.p_f == 0.25 and b.probability_lower_bound > 0
+
+
 # One bound per regime, as composed before the regimes shared one composer;
 # the composer must keep every bit.
 PINNED_REPRS = [

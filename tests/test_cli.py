@@ -360,6 +360,24 @@ def test_verify_passes_at_large_beta():
     assert "(counterexample_excess=0.240031)" in result.stdout
 
 
+def test_verify_margins_read_the_same_at_large_beta():
+    # Every energy is drawn in units of 1/beta and the variance excess is
+    # reported in units of 1/beta^2, so beta = 400 reads what beta = 1 does
+    # (it read -1.775e-166, the frozen tail, before the draws were scaled).
+    def margins(beta):
+        result = run("verify", "--cases", "20", "--beta", beta,
+                     "--format", "json")
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.stdout)
+        return dict(field.split("=") for c in doc["checks"]
+                    for field in c["margin"].split())
+
+    cold, warm = margins("400"), margins("1")
+    excess = float(warm["max_variance_excess"])
+    assert excess < -1e-3
+    assert float(cold["max_variance_excess"]) == pytest.approx(excess, rel=1e-6)
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])
 @pytest.mark.parametrize("args", [
     ("verify", "--cases", "1"),

@@ -523,6 +523,123 @@ def test_monte_carlo_jarzynski_on_long_staged_protocol():
     assert abs(mean - 1.0) <= 6 * std_error, (mean, std_error)
 
 
+def reference_monte_carlo(proto, initial, n_samples, seed):
+    """The sampler as it stood when it drew Generator(Philox).random
+    doubles and branched on float comparisons."""
+    energies = proto.energy_trajectory()
+    all_values = []
+    all_counts = []
+    occupied_total = 0
+    base = np.random.Philox(key=seed)
+    for chunk_index, start in enumerate(range(0, n_samples, engine._MC_CHUNK)):
+        m = min(engine._MC_CHUNK, n_samples - start)
+        rng = np.random.Generator(base.jumped(chunk_index))
+        occupied = rng.random(m) < initial.p_excited
+        work = np.zeros(m)
+        for i, step in enumerate(proto.steps):
+            if isinstance(step, LT):
+                work -= np.where(occupied, step.delta_e, 0.0)
+            elif isinstance(step, PT):
+                lam = step.lam
+                g = gibbs_population(energies[i], proto.ctx)
+                u = rng.random(m)
+                occupied = np.where(u < lam, u < lam * g, occupied)
+            else:
+                occupied ^= rng.random(m) < step.gamma
+        occupied_total += int(occupied.sum())
+        values, counts = np.unique(work, return_counts=True)
+        all_values.append(values)
+        all_counts.append(counts.astype(float))
+    values = np.concatenate(all_values)
+    probs = np.concatenate(all_counts) / n_samples
+    dist = WorkDistribution.from_atoms(values, probs)
+    return engine.MonteCarloResult(dist, occupied_total / n_samples, n_samples)
+
+
+def _mc_bits(result):
+    """Every output bit of a sampler run: -0.0 and 0.0 differ here."""
+    d = result.distribution
+    return (np.array(d.values).tobytes(), np.array(d.probabilities).tobytes(),
+            result.final_p_excited.hex())
+
+
+def _assert_matches_reference(proto, initial, n_samples, seed):
+    got = monte_carlo(proto, initial, n_samples, seed)
+    want = reference_monte_carlo(proto, initial, n_samples, seed)
+    assert _mc_bits(got) == _mc_bits(want), (n_samples, seed)
+    assert got.n_samples == want.n_samples
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_monte_carlo_matches_reference_on_staged_protocol(seed):
+    proto = build_average_work_protocol(0.1, 0.3, CTX, 200)
+    _assert_matches_reference(proto, QubitState(0.1), 131_072, seed)
+
+
+def test_monte_carlo_matches_reference_on_random_protocols():
+    # Swaps, 0 < lambda < 1 and every p_in in {0, 0.1, ..., 1} occur.
+    kinds = set()
+    for seed in range(300):
+        proto = random_protocol(seed, 20, 2.0, CTX)
+        kinds |= {type(s) for s in proto.steps}
+        kinds |= {"mixing" for s in proto.steps
+                  if isinstance(s, PT) and 0.0 < s.lam < 1.0}
+        _assert_matches_reference(proto, QubitState((seed % 11) / 10), 3000,
+                                  seed)
+    assert kinds == {LT, PT, BT, "mixing"}
+
+
+def test_monte_carlo_matches_reference_with_a_one_sample_chunk():
+    proto = build_average_work_protocol(0.1, 0.3, CTX, 5)
+    _assert_matches_reference(proto, QubitState(0.1), engine._MC_CHUNK + 1, 3)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("p_in", [0.0, 0.3, 1.0])
+def test_monte_carlo_matches_reference_at_extreme_weights(lam, gamma, p_in):
+    # Gaps of -50 and +800 put the thermal population at 1.0 and 0.0, so
+    # the threshold lam*g also takes both ends.
+    steps = [LT(-LN3), BT(gamma), PT(lam)]
+    for gap in (-50.0, 800.0, 0.7):
+        steps += [LT(gap), PT(lam), LT(-gap), BT(gamma)]
+    proto = Protocol(CTX, steps + [PT(lam), LT(LN3)])
+    _assert_matches_reference(proto, QubitState(p_in), 4096, 1)
+
+
+def test_philox_uniform_is_the_top_53_bits_of_a_raw_word():
+    # The sampler branches on raw words because numpy forms a Philox
+    # uniform as (x >> 11) * 2**-53; if that conversion changes, the
+    # stream of every seeded run changes with it, and this fails.
+    for jumps in (0, 1, 5):
+        words = np.random.Philox(key=9).jumped(jumps).random_raw(10_000)
+        doubles = np.random.Generator(
+            np.random.Philox(key=9).jumped(jumps)).random(10_000)
+        assert ((words >> np.uint64(11)) * 2.0**-53).tobytes() == doubles.tobytes()
+
+
+def test_word_threshold_agrees_with_the_float_comparison():
+    rng = np.random.Generator(np.random.Philox(key=4))
+    ks = rng.integers(0, 2**53, size=20, dtype=np.uint64).tolist()
+    thresholds = [0.0, 5e-324, 1.0 - 2.0**-53, 1.0]
+    for k in ks + [1, 2**52, 2**53 - 1]:
+        thresholds += [k * 2.0**-53, math.nextafter(k * 2.0**-53, 2.0)]
+    low = rng.integers(0, 2**11, size=64, dtype=np.uint64)
+    for t in thresholds:
+        # Words at, just below and just above the threshold's top 53 bits,
+        # each with random low bits, plus the extremes of the word range.
+        k = math.ceil(t * 2.0**53)
+        tops = np.array([max(k - 1, 0), min(k, 2**53 - 1), min(k + 1, 2**53 - 1)],
+                        dtype=np.uint64)
+        words = np.concatenate([
+            ((tops[:, None] << np.uint64(11)) | low).ravel(),
+            np.array([0, 2**64 - 1], dtype=np.uint64),
+            rng.integers(0, 2**64, size=256, dtype=np.uint64, endpoint=False),
+        ])
+        u = (words >> np.uint64(11)) * 2.0**-53
+        assert (engine._uniform_below(words, t) == (u < t)).all(), t
+
+
 def test_csv_export():
     proto = build_thermalize_once(0.0, 1.0, CTX)
     csv = exact_work_distribution(proto, QubitState(0.0)).to_csv()
