@@ -64,8 +64,11 @@ def _make_ctx(beta, e0, p_beta, default_p_beta=None):
 
 def _write_output(text: str, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _fail(EXIT_VALIDATION, f"cannot write output: {exc}")
     else:
         click.echo(text, nl=False)
 
@@ -231,8 +234,7 @@ def classify(beta, e0, p_beta, p_in, p_out, out):
     click.echo(json.dumps(verdict.to_json_dict(), indent=2))
     if out and verdict.verdict != "forbidden":
         proto = synthesize_protocol(verdict, p_in, p_out, ctx)
-        with open(out, "w") as fh:
-            fh.write(to_json(proto) + "\n")
+        _write_output(to_json(proto) + "\n", out)
 
 
 @main.command("bounds")

@@ -13,7 +13,8 @@ atom's work value is formed once at the end, and the one merge is the
 final one in `WorkDistribution.from_atoms`, a stable sort in cell order
 and hence deterministic.  Otherwise, after each level shift it drops atoms
 of zero mass and merges, by `_merge_atoms`, each run of atoms with gaps
-below MERGE_TOL into one atom at first + sum p*(v - first) / sum p.  An
+below MERGE_TOL / beta into one atom at first + sum p*(v - first) / sum p.
+Tolerances in units of 1/beta make the law of beta*W a function of beta*E.  An
 exhaustive branch enumeration, run as a breadth-first frontier of branch
 arrays that shares no code with the DP, serves as an independent oracle
 for small protocols, and a seeded counter-based Monte Carlo handles
@@ -38,8 +39,8 @@ from coarseops.protocol import (
 )
 from coarseops.thermo import QubitState, gibbs_population
 
-# Work atoms closer than this are one atom: increments drawn from a common
-# grid are meant to collide.
+# Work atoms closer than this, in units of 1/beta, are one atom: increments
+# drawn from a common grid are meant to collide.
 MERGE_TOL = 1e-10
 # Refuse rather than bin beyond this many atoms; binning would corrupt the
 # tail probabilities the bound verifiers rely on.
@@ -54,9 +55,9 @@ class ResourceError(RuntimeError):
     """The exact computation would exceed its configured budget."""
 
 
-def _merge_atoms(values: np.ndarray, *mass_columns: np.ndarray):
+def _merge_atoms(values: np.ndarray, tol: float, *mass_columns: np.ndarray):
     """Sort atoms stably by value and merge each run whose adjacent gaps are
-    below MERGE_TOL into one atom; returns the values and the summed columns.
+    below tol into one atom; returns the values and the summed columns.
 
     A merged atom sits at first + sum p*(v - first) / sum p, with p the
     atom's total over all columns and first the run's smallest value, so it
@@ -64,7 +65,7 @@ def _merge_atoms(values: np.ndarray, *mass_columns: np.ndarray):
     order = values.argsort(kind="stable")
     values = values[order]
     columns = [c[order] for c in mass_columns]
-    new_run = values[1:] - values[:-1] >= MERGE_TOL
+    new_run = values[1:] - values[:-1] >= tol
     if new_run.all():
         return (values, *columns)
     group = np.concatenate(([0], np.cumsum(new_run)))
@@ -86,12 +87,12 @@ class WorkDistribution:
     probabilities: tuple[float, ...]
 
     @staticmethod
-    def from_atoms(values, probs) -> "WorkDistribution":
+    def from_atoms(values, probs, ctx) -> "WorkDistribution":
         """The law of atoms given as parallel arrays (or one float each):
         atoms without positive mass are dropped and the rest merged by
-        _merge_atoms.  A single atom, the whole law of a shift-free
-        protocol, needs no sort or merge and is kept as it is when its mass
-        is positive."""
+        _merge_atoms at MERGE_TOL / ctx.beta.  A single atom, the whole law
+        of a shift-free protocol, needs no sort or merge and is kept as it
+        is when its mass is positive."""
         values = np.asarray(values, dtype=float)
         probs = np.asarray(probs, dtype=float)
         if values.size <= 1:
@@ -100,7 +101,8 @@ class WorkDistribution:
                 return WorkDistribution((), ())
             return WorkDistribution((values.item(),), (probs.item(),))
         keep = probs > 0
-        values, probs = _merge_atoms(values[keep], probs[keep])
+        values, probs = _merge_atoms(values[keep], MERGE_TOL / ctx.beta,
+                                     probs[keep])
         return WorkDistribution(tuple(values.tolist()), tuple(probs.tolist()))
 
     @property
@@ -131,24 +133,21 @@ class WorkDistribution:
         return "\n".join(lines) + "\n"
 
 
-def prob_work_at_most(dist: WorkDistribution, threshold: float) -> float:
-    """Total mass at or below the threshold, with a small slack so atoms
-    sitting numerically on the threshold are counted."""
-    return float(
-        sum(
-            p
-            for w, p in zip(dist.values, dist.probabilities)
-            if w <= threshold + 1e-12
-        )
-    )
+def prob_work_at_most(dist: WorkDistribution, threshold: float, ctx) -> float:
+    """Total mass at or below the threshold, with a slack of MERGE_TOL /
+    ctx.beta so atoms sitting numerically on the threshold are counted."""
+    limit = threshold + MERGE_TOL / ctx.beta
+    return float(sum(p for w, p in zip(dist.values, dist.probabilities)
+                     if w <= limit))
 
 
-def total_variation(a: WorkDistribution, b: WorkDistribution) -> float:
+def total_variation(a: WorkDistribution, b: WorkDistribution, ctx) -> float:
     """Total-variation distance, matching atoms whose work values merge
-    under MERGE_TOL."""
+    under MERGE_TOL / ctx.beta."""
     pa, pb = np.asarray(a.probabilities), np.asarray(b.probabilities)
     _, pa, pb = _merge_atoms(
         np.concatenate([np.asarray(a.values), np.asarray(b.values)]),
+        MERGE_TOL / ctx.beta,
         np.concatenate([pa, np.zeros(len(pb))]),
         np.concatenate([np.zeros(len(pa)), pb]),
     )
@@ -231,8 +230,8 @@ def _run_dp(steps, start_energy: float, ctx, p: float):
     formed once at the end, and nothing is merged here: the caller's
     from_atoms merges once, deterministically (a stable sort in cell
     order).  Otherwise each level shift appends the shifted atoms, drops
-    atoms of zero mass and merges by _merge_atoms, refusing with
-    ResourceError once the support exceeds ATOM_CAP atoms."""
+    atoms of zero mass and merges by _merge_atoms at MERGE_TOL / beta,
+    refusing with ResourceError once the support exceeds ATOM_CAP atoms."""
     works, unocc, occ = 0.0, 1.0 - p, p
     lattice = _shift_lattice(steps)
     if lattice is not None:
@@ -276,7 +275,8 @@ def _run_dp(steps, start_energy: float, ctx, p: float):
             keep = (unocc + occ) > 0
             if not keep.all():
                 works, unocc, occ = works[keep], unocc[keep], occ[keep]
-            works, unocc, occ = _merge_atoms(works, unocc, occ)
+            works, unocc, occ = _merge_atoms(works, MERGE_TOL / ctx.beta,
+                                             unocc, occ)
             if len(works) > ATOM_CAP:
                 raise ResourceError(
                     f"work support exceeds {ATOM_CAP} atoms; "
@@ -297,7 +297,7 @@ def exact_work_distribution(
     works, unocc, occ = _run_dp(
         proto.steps, proto.ctx.e0, proto.ctx, initial.p_excited
     )
-    return WorkDistribution.from_atoms(works, unocc + occ)
+    return WorkDistribution.from_atoms(works, unocc + occ, proto.ctx)
 
 
 def dp_final_occupation(proto: Protocol, initial: QubitState) -> float:
@@ -357,7 +357,7 @@ def brute_force_work_distribution(
                 [prob * (1.0 - step.gamma), prob * step.gamma], 1
             ).ravel()
             work = np.repeat(work, 2)
-    return WorkDistribution.from_atoms(work, prob)
+    return WorkDistribution.from_atoms(work, prob, proto.ctx)
 
 
 # Fixed chunk size, so that a result depends on (seed, n_samples) alone:
@@ -443,5 +443,5 @@ def monte_carlo(
         all_counts.append(counts.astype(float))
     values = np.concatenate(all_values)
     probs = np.concatenate(all_counts) / n_samples
-    dist = WorkDistribution.from_atoms(values, probs)
+    dist = WorkDistribution.from_atoms(values, probs, proto.ctx)
     return MonteCarloResult(dist, occupied_total / n_samples, n_samples)

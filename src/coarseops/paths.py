@@ -8,9 +8,9 @@ happens before tag i, and the final entry is the trailing shift after the
 last tag (zero when there is none), so a shrunk path carries no identity
 tags at all.
 
-A path's exact work law is the protocol DP of `engine` (same MERGE_TOL
-merge rule, zero-mass atoms dropped) run on its steps: LT(inc) for each
-nonzero increment, PT(1) for a Gibbs tag and BT(1) for a swap tag.
+A path's exact work law is the protocol DP of `engine` (atoms closer than
+MERGE_TOL / beta merged, zero-mass atoms dropped) run on its steps: LT(inc)
+for each nonzero increment, PT(1) for a Gibbs tag and BT(1) for a swap tag.
 
 Stages: I up to and including the first Gibbs tag, II until the last Gibbs
 tag, III after it.  Stage free-energy changes are Gibbs-curve integrals
@@ -151,8 +151,8 @@ def enumerate_paths(proto: Protocol) -> list[Path]:
 def shrink(path: Path) -> Path:
     """Canonical form: identity tags removed (their surrounding increments
     glued), and adjacent swap pairs with zero net increment in between
-    cancelled (a swap is an involution).  The conditional work law is
-    unchanged.
+    (below MERGE_TOL / beta) cancelled (a swap is an involution).  The
+    conditional work law is unchanged.
 
     Two linear passes: the first glues every identity, the second cancels
     swap pairs leftmost first against a stack of the shrunk prefix.  Fusing
@@ -171,7 +171,7 @@ def shrink(path: Path) -> Path:
     carry = glued[0]
     for tag, inc in zip(glued_tags, glued[1:]):
         if (tag is Tag.SWAP and tags and tags[-1] is Tag.SWAP
-                and abs(carry) < MERGE_TOL):
+                and abs(carry) < MERGE_TOL / path.ctx.beta):
             tags.pop()
             carry = inc + (carry + increments.pop())
         else:
@@ -330,7 +330,7 @@ def path_work_distribution(path: Path, initial: QubitState) -> WorkDistribution:
     works, unocc, occ = _run_dp(
         _path_steps(path), path.start_energy, path.ctx, initial.p_excited
     )
-    return WorkDistribution.from_atoms(works, unocc + occ)
+    return WorkDistribution.from_atoms(works, unocc + occ, path.ctx)
 
 
 def stage2_work_distribution(path: Path) -> WorkDistribution:

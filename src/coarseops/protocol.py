@@ -25,10 +25,9 @@ import numpy as np
 
 from coarseops.thermo import ThermalContext, _require_finite
 
-# Tolerances for the two physicality constraints.  Exact floating equality
-# is too brittle: staged protocols compute increments by division.
-CYCLIC_TOL = 1e-9
-SWAP_AT_ZERO_TOL = 1e-9
+# Gap tolerance of both physicality constraints, in units of 1/beta: staged
+# protocols compute increments by division, so exact equality is too brittle.
+GAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -101,17 +100,18 @@ class Protocol:
 
 def validate(proto: Protocol) -> ValidationReport:
     """Check cyclicity (final gap returns to the boundary) and that every
-    nontrivial swap happens at zero gap.  Never raises; all violations are
-    collected with their step index."""
+    nontrivial swap happens at zero gap, both within GAP_TOL / beta.  Never
+    raises; all violations are collected with their step index."""
     violations: list[Violation] = []
     energies = proto.energy_trajectory()
+    tol = GAP_TOL / proto.ctx.beta
     for i, step in enumerate(proto.steps):
         if isinstance(step, BistochasticTransformation) and step.gamma > 0:
-            if abs(energies[i]) > SWAP_AT_ZERO_TOL:
+            if abs(energies[i]) > tol:
                 violations.append(
                     Violation(i, f"swap with gamma={step.gamma} at gap {energies[i]}")
                 )
-    if abs(energies[-1] - proto.ctx.e0) > CYCLIC_TOL:
+    if abs(energies[-1] - proto.ctx.e0) > tol:
         violations.append(
             Violation(
                 len(proto.steps),

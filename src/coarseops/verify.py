@@ -63,11 +63,9 @@ def _check_engine_equivalence(ctx, cases, rng):
     for seed in range(cases):
         proto = protocol.random_protocol(seed, 8, 2.0 / ctx.beta, ctx)
         initial = QubitState(float(rng.uniform(0.0, 1.0)))
-        tv = engine.total_variation(
-            engine.exact_work_distribution(proto, initial),
-            engine.brute_force_work_distribution(proto, initial),
-        )
-        worst = max(worst, tv)
+        dp = engine.exact_work_distribution(proto, initial)
+        bf = engine.brute_force_work_distribution(proto, initial)
+        worst = max(worst, engine.total_variation(dp, bf, ctx))
     return worst <= 1e-12, f"max_total_variation={worst:.3e}"
 
 
@@ -134,7 +132,7 @@ def _check_w2_concentration(ctx, cases, rng):
         dist = paths.stage2_work_distribution(path)
         delta_f_2 = paths.decompose_stages(path).delta_f_2
         for eps in [e / ctx.beta for e in (0.05, 0.5, 2.0, 8.0)]:
-            measured = engine.prob_work_at_most(dist, -delta_f_2 + eps)
+            measured = engine.prob_work_at_most(dist, -delta_f_2 + eps, ctx)
             bound = bounds.lemma_w2_probability(eps, ctx)
             worst = min(worst, measured - bound)
     return worst >= -1e-12, f"min_slack={worst:.3e}"
@@ -206,7 +204,7 @@ def _check_bounds_vs_simulation(ctx, cases, rng):
         e_out = thermo.energy_of_population(p_out, ctx)
         proto = protocol.build_thermalize_once(e_out, 1.0, ctx)
         dist = engine.exact_work_distribution(proto, QubitState(p_in))
-        measured = engine.prob_work_at_most(dist, -bound.work_threshold)
+        measured = engine.prob_work_at_most(dist, -bound.work_threshold, ctx)
         worst = min(worst, measured - bound.probability_lower_bound)
     return worst >= 0.0, f"min_probability_slack={worst:.3e}"
 

@@ -92,7 +92,7 @@ def test_criterion_02_halfway_loss_probability():
     proto = build_average_work_protocol(p_in, p_out, CTX, 50)
     dist = exact_work_distribution(proto, QubitState(p_in))
     threshold, bound = lemma_simplecase_bound(p_in, p_out, CTX)
-    measured = prob_work_at_most(dist, -threshold)
+    measured = prob_work_at_most(dist, -threshold, CTX)
     assert bound == pytest.approx(2.31e-3, abs=1e-5)
     assert measured > bound, (measured, bound)
     assert time.monotonic() - start < 5.0
@@ -178,7 +178,7 @@ def test_criterion_06_raising_bound_verification():
                 pytest.approx(p_out, abs=1e-12)
             )
             dist = exact_work_distribution(proto, QubitState(p_in))
-            measured = prob_work_at_most(dist, -bound.work_threshold)
+            measured = prob_work_at_most(dist, -bound.work_threshold, CTX)
             assert measured >= bound.probability_lower_bound, p_out
             ratios.append(measured / bound.probability_lower_bound)
     assert len(ratios) == 20
@@ -204,7 +204,7 @@ def test_criterion_07_lowering_bound_verification():
                 pytest.approx(p_out, abs=1e-12)
             )
             dist = exact_work_distribution(proto, QubitState(p_in))
-            measured = prob_work_at_most(dist, -bound.work_threshold)
+            measured = prob_work_at_most(dist, -bound.work_threshold, CTX)
             assert measured >= bound.probability_lower_bound, (p_in, p_out)
             ratios.append(measured / bound.probability_lower_bound)
     assert len(ratios) == 20
@@ -266,7 +266,7 @@ def test_criterion_09_classifier_totality_and_soundness():
 def _ks_statistic(a, b) -> float:
     candidates = sorted(set(a.values) | set(b.values))
     return max(
-        abs(prob_work_at_most(a, x) - prob_work_at_most(b, x))
+        abs(prob_work_at_most(a, x, CTX) - prob_work_at_most(b, x, CTX))
         for x in candidates
     )
 
@@ -278,6 +278,7 @@ def test_criterion_10_engine_oracle_equivalence():
         tv = total_variation(
             exact_work_distribution(proto, initial),
             brute_force_work_distribution(proto, initial),
+            CTX,
         )
         assert tv <= 1e-12, seed
     # Monte Carlo vs exact DP: Kolmogorov-Smirnov at the 99.9% level on 20

@@ -417,7 +417,7 @@ def test_w2_concentration_holds_on_random_stage2_paths():
         dist = path_work_distribution(path, QubitState(0.5))
         df2 = gibbs_integral(path.start_energy, path.end_energy, CTX)
         for eps in (0.05, 0.3, 1.0, 4.0, 12.0):
-            measured = prob_work_at_most(dist, -df2 + eps)
+            measured = prob_work_at_most(dist, -df2 + eps, CTX)
             assert measured >= lemma_w2_probability(eps, CTX) - 1e-12, (
                 seed,
                 eps,
@@ -432,7 +432,7 @@ def test_main_bound_holds_for_thermalize_once_protocols():
         bound = theorem_main_bound(p_in, p_out, CTX)
         proto = build_thermalize_once(energy_of_population(p_out, CTX), 1.0, CTX)
         dist = exact_work_distribution(proto, QubitState(p_in))
-        measured = prob_work_at_most(dist, -bound.work_threshold)
+        measured = prob_work_at_most(dist, -bound.work_threshold, CTX)
         assert measured >= bound.probability_lower_bound, p_out
 
 
@@ -441,5 +441,5 @@ def test_rev_bound_holds_for_thermalize_once_protocols():
         bound = theorem_rev_bound(p_in, p_out, CTX)
         proto = build_thermalize_once(energy_of_population(p_out, CTX), 1.0, CTX)
         dist = exact_work_distribution(proto, QubitState(p_in))
-        measured = prob_work_at_most(dist, -bound.work_threshold)
+        measured = prob_work_at_most(dist, -bound.work_threshold, CTX)
         assert measured >= bound.probability_lower_bound, (p_in, p_out)

@@ -152,7 +152,7 @@ def test_forbidden_bound_soundness_on_realizing_protocols():
         dist = exact_work_distribution(proto, QubitState(p_in))
         from coarseops.engine import prob_work_at_most
 
-        measured = prob_work_at_most(dist, -c.bound.work_threshold)
+        measured = prob_work_at_most(dist, -c.bound.work_threshold, CTX)
         assert measured >= c.bound.probability_lower_bound, (p_in, p_out)
 
 

@@ -231,11 +231,15 @@ def test_forbidden_move_one_ulp_from_p_beta_is_vacuous(command):
 @pytest.mark.parametrize("ctx_args", [
     ("--p-beta", "0.05"), ("--p-beta", "0.3"), ("--p-beta", "0.45"),
     ("--e0", "0"), ("--beta", "800", "--e0", "1"),
+    ("--beta", "1e-6"), ("--beta", "1e9"),
 ])
 def test_verify_passes_at_any_accepted_context(ctx_args):
     # bounds_vs_simulation builds its pairs from p_beta; once p_beta
     # underflows to 0 neither family has a pair, and the margin says so.
-    result = run("verify", "--cases", "4", *ctx_args)
+    # Far from beta*E ~ 1 an absolute tolerance failed engine_equivalence
+    # (beta = 1e-6) and bounds_vs_simulation (1e9), but not within 4 cases.
+    cases = "40" if ctx_args[1] in ("1e-6", "1e9") else "4"
+    result = run("verify", "--cases", cases, *ctx_args)
     assert result.exit_code == 0, result.output
     empty = "PASS bounds_vs_simulation (min_probability_slack=inf)"
     assert (empty in result.stdout) == (ctx_args[1] == "800")
@@ -396,3 +400,42 @@ def test_verify_highest_seed_runs_every_check():
     top = 2**128 - 1 - 9000
     assert run("verify", "--cases", "1", "--seed", str(top)).exit_code == 0
     assert run("verify", "--cases", "1", "--seed", str(top + 1)).exit_code == 2
+
+
+def _staged_summary(beta, rounds):
+    result = run("simulate", "--beta", beta, "--p-beta", "0.25",
+                 "--p-in", "0.1", "--p-out", "0.3", "--stage2-steps", rounds)
+    assert result.exit_code == 0, result.output
+    [line] = result.stderr.splitlines()
+    return dict(field.split("=") for field in line.split())
+
+
+@pytest.mark.parametrize("beta, rounds, atoms", [
+    ("1e9", "20", 79), ("1e-6", "3", 11), ("1e-6", "200", 799),
+    ("1e-7", "3", 11),
+])
+def test_staged_law_is_the_same_in_every_unit_of_energy(beta, rounds, atoms):
+    # The staged protocol's energies scale with 1/beta, so its law of
+    # beta*W is the beta = 1 law.  Absolute tolerances merged every atom at
+    # beta = 1e9, split one at 1e-6, and refused the protocol at 1e-6 with
+    # 200 rounds and at 1e-7.
+    summary = _staged_summary(beta, rounds)
+    reference = _staged_summary("1", rounds)
+    assert int(summary["atoms"]) == int(reference["atoms"]) == atoms
+    assert float(summary["variance"]) * float(beta) ** 2 == pytest.approx(
+        float(reference["variance"]), rel=1e-9)
+
+
+@pytest.mark.parametrize("args", [
+    ("figure8", "--points", "100"),
+    ("classify", "--p-beta", "0.25", "--p-in", "1", "--p-out", "0.05"),
+    ("simulate", "--p-beta", "0.25", "--p-out", "0.3", "--stage2-steps", "2"),
+    ("bounds", "--p-beta", "0.25", "--p-in", "0.1", "--p-out", "0.3"),
+])
+def test_unwritable_out_is_one_line_validation_error(tmp_path, args):
+    result = run(*args, "--out", str(tmp_path / "missing" / "out.txt"))
+    assert result.exit_code == 2
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: cannot write output: ")
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)

@@ -8,12 +8,14 @@ import itertools
 import math
 import tracemalloc
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarseops import engine
+from coarseops import engine, paths
 from coarseops.engine import (
     MERGE_TOL,
     ResourceError,
@@ -100,14 +102,14 @@ def test_exact_pure_excited_reset():
 
 def test_prob_work_at_most():
     point = exact_work_distribution(Protocol(CTX, []), QubitState(0.5))
-    assert prob_work_at_most(point, -0.1) == 0.0
-    assert prob_work_at_most(point, math.inf) == 1.0
+    assert prob_work_at_most(point, -0.1, CTX) == 0.0
+    assert prob_work_at_most(point, math.inf, CTX) == 1.0
     two = exact_work_distribution(
         build_thermalize_once(0.0, 1.0, CTX), QubitState(0.0)
     )
-    assert prob_work_at_most(two, -1.0) == pytest.approx(0.5)
+    assert prob_work_at_most(two, -1.0, CTX) == pytest.approx(0.5)
     # Threshold numerically on an atom counts it.
-    assert prob_work_at_most(two, -LN3) == pytest.approx(0.5)
+    assert prob_work_at_most(two, -LN3, CTX) == pytest.approx(0.5)
 
 
 def test_brute_force_trivial_cases():
@@ -157,7 +159,7 @@ def test_brute_force_frontier_equals_recursion_bit_for_bit():
         _recursive_oracle(proto, 0, True, p0, 0.0, leaves)
         _recursive_oracle(proto, 0, False, 1.0 - p0, 0.0, leaves)
         reference = WorkDistribution.from_atoms(
-            [w for w, _ in leaves], [p for _, p in leaves])
+            [w for w, _ in leaves], [p for _, p in leaves], CTX)
         assert brute_force_work_distribution(proto, QubitState(p0)) == reference
 
 
@@ -175,16 +177,17 @@ def test_brute_force_prunes_zero_probability_branches(monkeypatch, steps,
     seen = []
     from_atoms = WorkDistribution.from_atoms
 
-    def spy(values, probs):
+    def spy(values, probs, ctx):
         seen.append(len(values))
-        return from_atoms(values, probs)
+        return from_atoms(values, probs, ctx)
 
     monkeypatch.setattr(WorkDistribution, "from_atoms", staticmethod(spy))
     proto = Protocol(CTX, steps)
     initial = QubitState(p_in)
     bf = brute_force_work_distribution(proto, initial)
     assert seen == [leaves]
-    assert total_variation(exact_work_distribution(proto, initial), bf) <= 1e-12
+    assert total_variation(exact_work_distribution(proto, initial), bf,
+                           CTX) <= 1e-12
 
 
 def test_brute_force_leaves_no_reference_cycle():
@@ -204,7 +207,7 @@ def test_dp_matches_brute_force_on_random_protocols():
         initial = QubitState((seed % 11) / 10)
         dp = exact_work_distribution(proto, initial)
         bf = brute_force_work_distribution(proto, initial)
-        assert total_variation(dp, bf) <= 1e-12, f"seed {seed}"
+        assert total_variation(dp, bf, CTX) <= 1e-12, f"seed {seed}"
         assert dp.total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -226,6 +229,7 @@ def test_normalize_preserves_law_and_state():
             total_variation(
                 exact_work_distribution(proto, initial),
                 exact_work_distribution(norm, initial),
+                CTX,
             )
             <= 1e-12
         )
@@ -283,7 +287,8 @@ def test_staged_exact_law_is_sorted_and_normalized(p_in, rounds):
 ])
 def test_merge_atoms_centers_denormal_group_inside_its_span(group, probs):
     values = np.array((2.0,) + group[::-1])
-    merged, mass = _merge_atoms(values, np.array((1.0,) + probs[::-1]))
+    merged, mass = _merge_atoms(values, MERGE_TOL,
+                                np.array((1.0,) + probs[::-1]))
     assert len(merged) == 2
     assert group[0] <= merged[0] <= group[-1]
     assert merged[1] == 2.0
@@ -293,7 +298,8 @@ def test_merge_atoms_centers_denormal_group_inside_its_span(group, probs):
 def test_merge_atoms_sums_every_mass_column():
     values = np.array([1.0, 1.0 + MERGE_TOL / 2, 3.0])
     merged, a, b = _merge_atoms(
-        values, np.array([0.25, 0.0, 0.5]), np.array([0.0, 0.25, 0.0])
+        values, MERGE_TOL, np.array([0.25, 0.0, 0.5]),
+        np.array([0.0, 0.25, 0.0])
     )
     assert merged.tolist() == pytest.approx([1.0 + MERGE_TOL / 4, 3.0])
     assert a.tolist() == [0.25, 0.5]
@@ -367,9 +373,10 @@ def test_shift_free_law_is_one_atom_without_merge(monkeypatch, lam, p_in):
 
 
 def test_from_atoms_keeps_a_single_atom_of_positive_mass():
-    assert WorkDistribution.from_atoms([], []) == WorkDistribution((), ())
-    assert WorkDistribution.from_atoms([2.5], [0.0]) == WorkDistribution((), ())
-    assert WorkDistribution.from_atoms(-1.5, 0.25) == WorkDistribution(
+    assert WorkDistribution.from_atoms([], [], CTX) == WorkDistribution((), ())
+    assert WorkDistribution.from_atoms([2.5], [0.0], CTX) == WorkDistribution(
+        (), ())
+    assert WorkDistribution.from_atoms(-1.5, 0.25, CTX) == WorkDistribution(
         (-1.5,), (0.25,))
 
 
@@ -401,7 +408,7 @@ def test_dp_matches_brute_force_after_mixing_prefix(monkeypatch, fallback):
                 initial = QubitState(p)
                 dp = exact_work_distribution(proto, initial)
                 bf = brute_force_work_distribution(proto, initial)
-                assert total_variation(dp, bf) <= 1e-12, (k, seed, p)
+                assert total_variation(dp, bf, ctx) <= 1e-12, (k, seed, p)
                 assert dp_final_occupation(proto, initial) == pytest.approx(
                     final_state(proto, initial).p_excited, abs=1e-14)
                 cases += 1
@@ -461,7 +468,7 @@ def test_dp_matches_brute_force_on_long_random_protocols():
         initial = QubitState((seed % 11) / 10)
         dp = exact_work_distribution(proto, initial)
         bf = brute_force_work_distribution(proto, initial)
-        assert total_variation(dp, bf) <= 1e-12, f"seed {seed}"
+        assert total_variation(dp, bf, CTX) <= 1e-12, f"seed {seed}"
     assert cases == 44
     assert sides == {True, False}
 
@@ -489,8 +496,8 @@ def test_monte_carlo_matches_exact():
     n = 100_000
     result = monte_carlo(proto, QubitState(1.0), n, seed=11)
     sigma = math.sqrt(0.25 / n)
-    p_hat = prob_work_at_most(result.distribution, -1.0)
-    assert abs(p_hat - prob_work_at_most(exact, -1.0)) < 4 * sigma
+    p_hat = prob_work_at_most(result.distribution, -1.0, CTX)
+    assert abs(p_hat - prob_work_at_most(exact, -1.0, CTX)) < 4 * sigma
     assert abs(result.distribution.mean - exact.mean) < 4 * result.mean_std_error
 
 
@@ -552,7 +559,7 @@ def reference_monte_carlo(proto, initial, n_samples, seed):
         all_counts.append(counts.astype(float))
     values = np.concatenate(all_values)
     probs = np.concatenate(all_counts) / n_samples
-    dist = WorkDistribution.from_atoms(values, probs)
+    dist = WorkDistribution.from_atoms(values, probs, proto.ctx)
     return engine.MonteCarloResult(dist, occupied_total / n_samples, n_samples)
 
 
@@ -694,9 +701,10 @@ def test_jarzynski_and_crooks_on_random_protocols(beta):
             [-w for w in forward.values],
             [p * math.exp(beta * w)
              for w, p in zip(forward.values, forward.probabilities)],
+            ctx,
         )
         reverse = exact_work_distribution(_reversed(proto), thermal)
-        assert total_variation(tilted, reverse) <= 1e-12, seed
+        assert total_variation(tilted, reverse, ctx) <= 1e-12, seed
 
 
 def test_jarzynski_on_long_staged_protocol():
@@ -704,3 +712,58 @@ def test_jarzynski_on_long_staged_protocol():
     proto = build_average_work_protocol(CTX.p_beta, 0.3, CTX, 3000)
     dist = exact_work_distribution(proto, QubitState(CTX.p_beta))
     assert _jarzynski_residual(dist, CTX.beta) <= 1e-12
+
+
+def _scaled(proto, ctx, c):
+    """The protocol at inverse temperature c*beta with every energy over c."""
+    return Protocol(ctx, [LT(s.delta_e / c) if isinstance(s, LT) else s
+                          for s in proto.steps])
+
+
+def _assert_same_law_of_beta_w(base, scaled, c, ctx):
+    assert len(scaled.values) == len(base.values)
+    assert np.allclose(np.array(scaled.values) * c, base.values,
+                       rtol=0.0, atol=1e-12)
+    assert np.allclose(scaled.probabilities, base.probabilities,
+                       rtol=0.0, atol=1e-12)
+    # The distribution function at every atom, each counted with its slack.
+    assert np.allclose(
+        [prob_work_at_most(scaled, w / c, ctx) for w in base.values],
+        [prob_work_at_most(base, w, CTX) for w in base.values],
+        rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6), p_in=st.floats(0.0, 1.0),
+       exponent=st.floats(-12.0, 12.0), fallback=st.booleans(),
+       y=st.floats(-2.0, 2.0), z=st.floats(-2.0, 2.0))
+def test_law_of_beta_w_does_not_depend_on_the_unit_of_energy(
+        seed, p_in, exponent, fallback, y, z):
+    # Scaling (beta, every energy) -> (c beta, E/c) leaves every beta*E, so
+    # the law of beta*W, its atom count and the shrunk tags must not move:
+    # every tolerance is in units of 1/beta.  The oracle and the sampler
+    # (same seed) merge through from_atoms and are covered too.
+    G, I, S = paths.Tag.GIBBS, paths.Tag.IDENTITY, paths.Tag.SWAP
+    c = 10.0**exponent
+    ctx = ThermalContext(c * CTX.beta, CTX.e0 / c)
+    base = random_protocol(seed, 8, 2.0, CTX)
+    scaled = _scaled(base, ctx, c)
+    initial = QubitState(p_in)
+    cells = 0 if fallback else engine._LATTICE_CELLS_PER_SHIFT
+    with mock.patch.object(engine, "_LATTICE_CELLS_PER_SHIFT", cells):
+        for solve in (exact_work_distribution, brute_force_work_distribution,
+                      lambda p, s: monte_carlo(p, s, 2000, seed).distribution):
+            _assert_same_law_of_beta_w(solve(base, initial),
+                                       solve(scaled, initial), c, ctx)
+        for path, twin in zip(paths.enumerate_paths(base),
+                              paths.enumerate_paths(scaled), strict=True):
+            short, short_twin = paths.shrink(path), paths.shrink(twin)
+            assert short_twin.tags == short.tags
+            _assert_same_law_of_beta_w(
+                paths.path_work_distribution(short, initial),
+                paths.path_work_distribution(short_twin, initial), c, ctx)
+    # Two swaps around shifts that cancel up to rounding cancel at any c.
+    for k, k_ctx in ((1.0, CTX), (c, ctx)):
+        energies = [1.0 / k, 0.0, y / k, z / k, 0.0, -1.0 / k]
+        path = paths.cyclic_path(energies, [G, S, I, I, S, G], k_ctx)
+        assert paths.shrink(path).tags == (G, G)

@@ -111,9 +111,9 @@ def test_enumerate_mixture_reproduces_work_law():
             probs.extend(q * p.weight for q in d.probabilities)
         from coarseops.engine import WorkDistribution
 
-        mixture = WorkDistribution.from_atoms(values, probs)
+        mixture = WorkDistribution.from_atoms(values, probs, CTX)
         exact = exact_work_distribution(proto, initial)
-        assert total_variation(mixture, exact) <= 1e-12, seed
+        assert total_variation(mixture, exact, CTX) <= 1e-12, seed
 
 
 def test_shrink_removes_identity():
@@ -144,6 +144,7 @@ def test_shrink_preserves_work_law():
                 total_variation(
                     path_work_distribution(p, initial),
                     path_work_distribution(shrink(p), initial),
+                    CTX,
                 )
                 <= 1e-12
             )

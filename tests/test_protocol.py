@@ -59,6 +59,22 @@ def test_validate_swap_at_zero():
     assert validate(Protocol(CTX, [BT(0.0)])).ok
 
 
+@pytest.mark.parametrize("beta", [1e-6, 1.0, 1e9])
+def test_validate_tolerance_scales_but_still_refuses(beta):
+    # The gap tolerance is in units of 1/beta: a miss of 1e-6/beta is
+    # refused at every beta, and the staged protocol is accepted.
+    ctx = ThermalContext(beta, math.log(3) / beta)
+    miss = 1e-6 / beta
+    report = validate(Protocol(ctx, [LT(1.0 / beta), LT(-1.0 / beta + miss)]))
+    assert [v.step_index for v in report.violations] == [2]
+    assert "does not return" in report.violations[0].message
+    report = validate(
+        Protocol(ctx, [LT(miss - ctx.e0), BT(0.5), LT(ctx.e0 - miss)]))
+    assert [v.step_index for v in report.violations] == [1]
+    assert "swap with gamma=0.5" in report.violations[0].message
+    assert validate(build_average_work_protocol(0.1, 0.3, ctx, 200)).ok
+
+
 def test_normalize_merges_thermalizations():
     out = normalize(Protocol(CTX, [PT(0.5), PT(0.5)]))
     assert out.steps == (PT(0.75),)
