@@ -5,7 +5,9 @@ curve data (figure8), run the self-verification suite, classify a
 transition, and evaluate the no-go bounds.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 verification
-failure.
+failure.  Every subcommand runs inside one boundary, `_Group.invoke`: a
+ValueError or ResourceError from the library prints one `error:` line and
+exits 2, so no domain error reaches the user as a traceback.
 """
 
 from __future__ import annotations
@@ -54,12 +56,9 @@ def _make_ctx(beta, e0, p_beta, default_p_beta=None):
             raise click.UsageError("one of --e0 or --p-beta is required")
         if not 0.0 < p_beta <= 0.5:
             _fail(EXIT_VALIDATION, f"p_beta must lie in (0, 1/2], got {p_beta}")
-    try:
-        if e0 is None:
-            e0 = energy_of_population(p_beta, ThermalContext(beta, 0.0))
-        return ThermalContext(beta=beta, e0=e0)
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    if e0 is None:
+        e0 = energy_of_population(p_beta, ThermalContext(beta, 0.0))
+    return ThermalContext(beta=beta, e0=e0)
 
 
 def _write_output(text: str, out):
@@ -93,7 +92,17 @@ def _with_ctx_options(fn):
     return fn
 
 
-@click.group()
+class _Group(click.Group):
+    """The CLI's one domain-error boundary, around every subcommand."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, ResourceError) as exc:
+            _fail(EXIT_VALIDATION, str(exc))
+
+
+@click.group(cls=_Group)
 def main():
     """Simulate and verify work fluctuations of coarse two-level protocols."""
 
@@ -121,7 +130,7 @@ def simulate(beta, e0, p_beta, protocol_file, p_in, p_out, stage2_steps,
         try:
             with open(protocol_file) as fh:
                 proto = from_json(fh.read())
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             _fail(EXIT_VALIDATION, f"invalid protocol file: {exc}")
     else:
         if p_out is None:
@@ -133,10 +142,7 @@ def simulate(beta, e0, p_beta, protocol_file, p_in, p_out, stage2_steps,
                   f"beta*e0 = {ctx.beta * ctx.e0:.6g}; give the start "
                   "population with --p-in")
         start = ctx.p_beta if p_in is None else p_in
-        try:
-            proto = build_average_work_protocol(start, p_out, ctx, stage2_steps)
-        except ValueError as exc:
-            _fail(EXIT_VALIDATION, str(exc))
+        proto = build_average_work_protocol(start, p_out, ctx, stage2_steps)
     report = validate(proto)
     if not report.ok:
         for v in report.violations:
@@ -144,16 +150,10 @@ def simulate(beta, e0, p_beta, protocol_file, p_in, p_out, stage2_steps,
         sys.exit(EXIT_VALIDATION)
     if samples is not None and samples < 1:
         _fail(EXIT_VALIDATION, f"--samples must be >= 1, got {samples}")
-    try:
-        initial = QubitState(proto.ctx.p_beta if p_in is None else p_in)
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    initial = QubitState(proto.ctx.p_beta if p_in is None else p_in)
     std_error = None
     if samples is not None:
-        try:
-            result = monte_carlo(proto, initial, samples, seed)
-        except ValueError as exc:
-            _fail(EXIT_VALIDATION, str(exc))
+        result = monte_carlo(proto, initial, samples, seed)
         dist, final_p = result.distribution, result.final_p_excited
         std_error = result.mean_std_error
     else:
@@ -227,10 +227,7 @@ def figure8(beta, e0, p_beta, points, out):
 def classify(beta, e0, p_beta, p_in, p_out, out):
     """Decide reachability of a population transition."""
     ctx = _make_ctx(beta, e0, p_beta)
-    try:
-        verdict = classify_transition(p_in, p_out, ctx)
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    verdict = classify_transition(p_in, p_out, ctx)
     click.echo(json.dumps(verdict.to_json_dict(), indent=2))
     if out and verdict.verdict != "forbidden":
         proto = synthesize_protocol(verdict, p_in, p_out, ctx)
@@ -247,10 +244,7 @@ def classify(beta, e0, p_beta, p_in, p_out, out):
 def bounds_cmd(beta, e0, p_beta, p_in, p_out, fmt, out):
     """Evaluate the no-go bound for a forbidden transition."""
     ctx = _make_ctx(beta, e0, p_beta)
-    try:
-        verdict = classify_transition(p_in, p_out, ctx)
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    verdict = classify_transition(p_in, p_out, ctx)
     if verdict.verdict != "forbidden":
         _fail(EXIT_VALIDATION,
               f"transition is achievable ({verdict.verdict}); no bound applies")
@@ -280,10 +274,7 @@ def verify(beta, e0, p_beta, cases, seed, fmt):
     ctx = _make_ctx(beta, e0, p_beta, default_p_beta=0.25)
     if cases < 1:
         raise click.UsageError("--cases must be positive")
-    try:
-        results = run_checks(ctx, cases, seed)
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    results = run_checks(ctx, cases, seed)
     ok = all(passed for _, passed, _ in results)
     if fmt == "json":
         checks = [{"check": name, "passed": passed, "margin": margin}

@@ -121,10 +121,15 @@ class WorkDistribution:
 
     @property
     def variance(self) -> float:
+        """The variance, or inf when a squared deviation overflows a float
+        (|w - mean| above about 1.3e154)."""
         m = self.mean
-        return float(
-            sum((w - m) ** 2 * p for w, p in zip(self.values, self.probabilities))
-        )
+        try:
+            return float(sum(
+                (w - m) ** 2 * p for w, p in zip(self.values, self.probabilities)
+            ))
+        except OverflowError:
+            return math.inf
 
     def to_csv(self) -> str:
         lines = ["work,probability"]

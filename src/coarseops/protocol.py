@@ -268,10 +268,15 @@ def to_json(proto: Protocol) -> str:
 
 
 def _number(value, what: str) -> float:
-    """A JSON number as a float; null, booleans and strings are refused."""
+    """A JSON number as a float; null, booleans, strings and integers
+    beyond the float range are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {json.dumps(value)}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is an integer of {len(str(abs(value)))} "
+                         "digits, too large for a float") from None
 
 
 def from_json_dict(data: dict) -> Protocol:
@@ -305,4 +310,8 @@ def from_json_dict(data: dict) -> Protocol:
 
 
 def from_json(text: str) -> Protocol:
-    return from_json_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("protocol document is nested too deeply") from None
+    return from_json_dict(data)

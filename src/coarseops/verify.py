@@ -7,11 +7,13 @@ layers are called through their modules, so that a tracer patching module
 attributes (perfbench/spans.py) still sees each call.
 
 Every energy a check draws or pins is a multiple of 1/beta, and every
-margin in units of energy (energy squared) is multiplied by beta (beta
-squared) before it is gated and reported.  A check then tests the same
-populations at every beta and reports the same figure, instead of passing
-on the frozen tail of the Gibbs curve at large beta; at beta = 1 both
-scalings are exact no-ops.
+margin in units of energy is multiplied by beta before it is gated and
+reported.  A margin in units of energy squared is formed from energies
+already multiplied by beta (the variance of beta*W, the grid on beta*d),
+so it neither overflows nor underflows at either end of the float range.
+A check then tests the same populations at every beta and reports the
+same figure, instead of passing on the frozen tail of the Gibbs curve at
+large beta; at beta = 1 every scaling is an exact no-op.
 """
 
 from __future__ import annotations
@@ -34,6 +36,14 @@ def _simpson(f, a: float, b: float, *args) -> float:
     y = f(np.linspace(a, b, n + 1), *args)
     h = (b - a) / n
     return float(h / 3.0 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum()))
+
+
+def _variance_of_beta_w(dist: engine.WorkDistribution, beta: float) -> float:
+    """Variance of beta*W: each work value is multiplied by beta before it
+    is squared."""
+    return engine.WorkDistribution(
+        tuple(beta * w for w in dist.values), dist.probabilities
+    ).variance
 
 
 def _check_gibbs_quadrature(ctx, cases, rng):
@@ -103,10 +113,9 @@ def _check_variance_area_toward_zero(ctx, cases, rng):
             e = float(rng.uniform(0, abs(e))) * math.copysign(1.0, e)
             energies.append(e)
         path = paths.cyclic_path(energies, (Tag.GIBBS,) * len(energies), ctx)
-        var = paths.stage2_work_distribution(path).variance
-        excess = var - (2.0 / beta) * paths.area_between(path).total
+        var = _variance_of_beta_w(paths.stage2_work_distribution(path), beta)
+        excess = var - 2.0 * (beta * paths.area_between(path).total)
         worst = max(worst, excess)
-    worst *= beta * beta
     return worst <= 1e-9, f"max_variance_excess={worst:.3e}"
 
 
@@ -120,8 +129,8 @@ def _check_variance_area_refutation(ctx, cases, rng):
     # units of 1/beta^2, the same figure at every beta.
     beta = ctx.beta
     path = paths.cyclic_path((1.0 / beta, 3.0 / beta), (Tag.GIBBS,) * 2, ctx)
-    var = paths.stage2_work_distribution(path).variance
-    excess = beta * beta * (var - (2.0 / beta) * paths.area_between(path).total)
+    var = _variance_of_beta_w(paths.stage2_work_distribution(path), beta)
+    excess = var - 2.0 * (beta * paths.area_between(path).total)
     return excess > 0.1, f"counterexample_excess={excess:.6f}"
 
 
@@ -174,14 +183,15 @@ def _check_appendix_utilities(ctx, cases, rng):
                 tightest = min(tightest, share - bound)
     ok = worst >= -1e-12
     # Swap-segment inequality grid (x <= sinh x form), rows d1, columns d2,
-    # at gaps in [1e-3, 5]/beta; both sides are energies squared.
-    beta = ctx.beta
-    d = np.linspace(1e-3, 5.0, 100) / beta
-    q = np.array([thermo.gibbs_population(float(d1), ctx) for d1 in d])[:, None]
-    lhs = 2.0 * q * (1.0 - q) * d[:, None] * d
-    rhs = (2.0 / beta) * (0.5 - q) * d
-    ok = ok and bool((lhs <= rhs + 1e-12 / (beta * beta)).all())
-    grid = beta * beta * float((rhs - lhs).min())
+    # at gaps in [1e-3, 5]/beta, built on beta*d; both sides are energies
+    # squared times beta^2.
+    bd = np.linspace(1e-3, 5.0, 100)
+    q = np.array([thermo.gibbs_population(float(x) / ctx.beta, ctx)
+                  for x in bd])[:, None]
+    lhs = 2.0 * q * (1.0 - q) * bd[:, None] * bd
+    rhs = 2.0 * (0.5 - q) * bd
+    ok = ok and bool((lhs <= rhs + 1e-12).all())
+    grid = float((rhs - lhs).min())
     return ok, f"min_interior_slack={tightest:.3e} grid_min_slack={grid:.3e}"
 
 

@@ -267,6 +267,13 @@ def test_moments_consistency():
     assert dist.variance == pytest.approx(0.25 * LN3**2)
 
 
+def test_variance_is_inf_when_a_squared_deviation_overflows():
+    # (w - mean)**2 = 1e400 overflows a float: inf, not OverflowError.
+    dist = WorkDistribution((-1e200, 1e200), (0.5, 0.5))
+    assert dist.mean == 0.0
+    assert dist.variance == math.inf
+
+
 @pytest.mark.parametrize("p_in, rounds", [(0.1, 2000), (None, 3000)])
 def test_staged_exact_law_is_sorted_and_normalized(p_in, rounds):
     # Long staged protocols carry atoms of near-denormal mass; merging them
