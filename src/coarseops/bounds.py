@@ -107,6 +107,10 @@ def exact_binomial_upper_tail(n: int, p: float) -> float:
     """Exact P(Bin(n, p) >= n/2), the quantity hoeffding_tail dominates.
 
     Each term is formed in log space, so no factor overflows for large n."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
     k_min = math.ceil(n / 2)
     if p == 0.0 or p == 1.0:
         return float(p == 1.0 or k_min == 0)

@@ -16,12 +16,13 @@ of zero mass and merges, by `_merge_atoms`, each run of atoms with gaps
 below MERGE_TOL / beta into one atom at first + sum p*(v - first) / sum p.
 Tolerances in units of 1/beta make the law of beta*W a function of beta*E.  An
 exhaustive branch enumeration, run as a breadth-first frontier of branch
-arrays that shares no code with the DP, serves as an independent oracle
-for small protocols, and a seeded counter-based Monte Carlo handles
-protocols too large for either.  The sampler reads each step's raw Philox
-words when the step runs and decides every branch on integer thresholds
-that agree exactly with numpy's uniform doubles, so it follows the stream
-of Generator.random bit for bit without forming a double.
+arrays that shares no code with the DP, serves as an independent oracle,
+and a seeded counter-based Monte Carlo handles protocols past ATOM_CAP,
+the size budget that every exhaustive structure shares.  The sampler reads
+each step's raw Philox words when the step runs and decides every branch
+on integer thresholds that agree exactly with numpy's uniform doubles, so
+it follows the stream of Generator.random bit for bit without forming a
+double.
 """
 
 from __future__ import annotations
@@ -42,17 +43,22 @@ from coarseops.thermo import QubitState, gibbs_population
 # Work atoms closer than this, in units of 1/beta, are one atom: increments
 # drawn from a common grid are meant to collide.
 MERGE_TOL = 1e-10
-# Refuse rather than bin beyond this many atoms; binning would corrupt the
-# tail probabilities the bound verifiers rely on.
+# The one size budget of every exhaustive structure, checked where each
+# grows; binning past it instead would corrupt the bounds' tail probabilities.
 ATOM_CAP = 1_000_000
 # Dense shift-count lattice budget, in cells per level shift (_shift_lattice).
 _LATTICE_CELLS_PER_SHIFT = 32
-# Exhaustive enumeration is exponential in the branching steps.
-BRUTE_FORCE_MAX_BRANCHES = 20
 
 
 class ResourceError(RuntimeError):
     """The exact computation would exceed its configured budget."""
+
+
+def _check_budget(size: int, what: str) -> None:
+    """Refuse a structure of `size` entries past ATOM_CAP (read per call)."""
+    if size > ATOM_CAP:
+        raise ResourceError(f"{what} of {size} exceeds ATOM_CAP = {ATOM_CAP}; "
+                            "use monte_carlo for this protocol")
 
 
 def _merge_atoms(values: np.ndarray, tol: float, *mass_columns: np.ndarray):
@@ -200,9 +206,6 @@ def _shift_lattice(steps):
     if not deltas:
         return None
     limit = min(ATOM_CAP, _LATTICE_CELLS_PER_SHIFT * (len(deltas) + 1))
-    # Each distinct magnitude at least doubles the lattice.
-    if 2 ** len(set(map(abs, deltas))) > limit:
-        return None
     counts: dict[float, list[int]] = {}
     for d in deltas:
         # Re-inserted, so the axes end up ordered by their last shift.
@@ -282,11 +285,7 @@ def _run_dp(steps, start_energy: float, ctx, p: float):
                 works, unocc, occ = works[keep], unocc[keep], occ[keep]
             works, unocc, occ = _merge_atoms(works, MERGE_TOL / ctx.beta,
                                              unocc, occ)
-            if len(works) > ATOM_CAP:
-                raise ResourceError(
-                    f"work support exceeds {ATOM_CAP} atoms; "
-                    "use monte_carlo for this protocol"
-                )
+            _check_budget(len(works), "work support")
     if lattice is not None:
         cell = np.arange(lo, hi)
         works = np.zeros(hi - lo)
@@ -324,17 +323,9 @@ def brute_force_work_distribution(
     thermalization splits every branch into three children (unchanged,
     occupied, empty) and a swap into two (unchanged, flipped), each
     branch's children kept adjacent, so the leaves come out in depth-first
-    order.  Nothing is merged before WorkDistribution.from_atoms."""
-    branching = sum(
-        1
-        for s in proto.steps
-        if isinstance(s, (PartialThermalization, BistochasticTransformation))
-    )
-    if branching > BRUTE_FORCE_MAX_BRANCHES:
-        raise ResourceError(
-            f"{branching} branching steps exceed the exhaustive limit of "
-            f"{BRUTE_FORCE_MAX_BRANCHES}"
-        )
+    order.  Nothing is merged before WorkDistribution.from_atoms.  Before
+    each split the live branches times the children of nonzero weight must
+    fit ATOM_CAP, so no frontier holds more live branches, however long."""
     energies = proto.energy_trajectory()
     p0 = initial.p_excited
     occupied = np.array([True, False])
@@ -348,15 +339,20 @@ def brute_force_work_distribution(
             work = np.where(occupied, work - step.delta_e, work)
         elif isinstance(step, PartialThermalization):
             g = gibbs_population(energies[i], proto.ctx)
-            mixed = prob * step.lam
+            lam = step.lam
+            _check_budget(len(prob) * np.count_nonzero(
+                [1.0 - lam, lam * g, lam * (1.0 - g)]), "oracle frontier")
+            mixed = prob * lam
             occupied = np.stack(
                 [occupied, np.ones_like(occupied), np.zeros_like(occupied)], 1
             ).ravel()
             prob = np.stack(
-                [prob * (1.0 - step.lam), mixed * g, mixed * (1.0 - g)], 1
+                [prob * (1.0 - lam), mixed * g, mixed * (1.0 - g)], 1
             ).ravel()
             work = np.repeat(work, 3)
         else:
+            _check_budget(len(prob) * (1 + (0.0 < step.gamma < 1.0)),
+                          "oracle frontier")
             occupied = np.stack([occupied, ~occupied], 1).ravel()
             prob = np.stack(
                 [prob * (1.0 - step.gamma), prob * step.gamma], 1

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from coarseops.engine import (
     MERGE_TOL,
     WorkDistribution,
+    _check_budget,
     _final_population,
     _run_dp,
 )
@@ -42,8 +43,6 @@ from coarseops.thermo import (
     gibbs_integral,
     gibbs_population,
 )
-
-ENUMERATION_MAX_BRANCHES = 24
 
 
 class Tag(enum.Enum):
@@ -119,7 +118,10 @@ def enumerate_paths(proto: Protocol) -> list[Path]:
 
     Each thermalization resolves to IDENTITY (weight 1-lambda) or GIBBS
     (lambda); each swap to IDENTITY (1-gamma) or SWAP (gamma).  Weights of
-    the enumeration sum to 1."""
+    the enumeration sum to 1.  Choices of zero weight are dropped before
+    the product, which must fit engine.ATOM_CAP paths (ResourceError
+    otherwise, the budget every exhaustive structure shares); a path whose
+    weight underflows to 0 is dropped after it."""
     increments, choices = [0.0], []  # shared by every branch
     for step in proto.steps:
         if isinstance(step, LevelTransformation):
@@ -129,13 +131,10 @@ def enumerate_paths(proto: Protocol) -> list[Path]:
             w, taken = step.lam, Tag.GIBBS
         else:
             w, taken = step.gamma, Tag.SWAP
-        choices.append(((1.0 - w, Tag.IDENTITY), (w, taken)))
+        choices.append([c for c in ((1.0 - w, Tag.IDENTITY), (w, taken))
+                        if c[0] > 0.0])
         increments.append(0.0)
-    if len(choices) > ENUMERATION_MAX_BRANCHES:
-        raise ValueError(
-            f"{len(choices)} branching steps exceed the enumeration "
-            f"limit of {ENUMERATION_MAX_BRANCHES}"
-        )
+    _check_budget(math.prod(map(len, choices)), "path enumeration")
     increments = tuple(increments)
     paths = []
     for picks in itertools.product(*choices):

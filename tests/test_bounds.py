@@ -75,6 +75,10 @@ def test_hoeffding_examples():
         hoeffding_tail(10, 0.5)
     with pytest.raises(ValueError):
         hoeffding_tail(0, 0.3)
+    for n, p, name in [(5, math.nan, "p"), (5, 1.5, "p"), (5, -0.1, "p"),
+                       (-1, 0.3, "n")]:
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            exact_binomial_upper_tail(n, p)
 
 
 def test_hoeffding_dominates_exact_binomial_on_grid():

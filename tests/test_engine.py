@@ -129,6 +129,32 @@ def test_brute_force_branch_limit():
         brute_force_work_distribution(proto, QubitState(0.5))
 
 
+def test_brute_force_refuses_before_the_frontier_passes_atom_cap(monkeypatch):
+    # 2 * 3**k live branches after k splits: the 12th split would pass the
+    # budget, so the frontier stops at 2 * 3**11 = 354,294 branches.
+    proto = Protocol(CTX, [PT(0.5)] * 13)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="ATOM_CAP"):
+            brute_force_work_distribution(proto, QubitState(0.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One budget's frontier: a bool and two floats per branch.
+    assert peak < 2 * engine.ATOM_CAP * 17
+    # The live branches times the nonzero children must fit, exactly.
+    monkeypatch.setattr("coarseops.engine.ATOM_CAP", 2 * 3**5)
+    proto = Protocol(CTX, [s for k in range(5) for s in (
+        LT(math.sqrt(2 + k)), PT(0.5), LT(-math.sqrt(2 + k)))])
+    initial = QubitState(0.5)
+    assert total_variation(brute_force_work_distribution(proto, initial),
+                           exact_work_distribution(proto, initial),
+                           CTX) <= 1e-12
+    with pytest.raises(ResourceError):
+        brute_force_work_distribution(Protocol(CTX, [PT(0.5)] * 6),
+                                      QubitState(0.5))
+
+
 def _recursive_oracle(proto, i, occupied, prob, work, leaves):
     """The depth-first branch recursion the frontier oracle replaced, kept
     as its reference: same arithmetic, leaves appended in visiting order."""
@@ -171,6 +197,11 @@ def test_brute_force_frontier_equals_recursion_bit_for_bit():
     # each live branch has two live children (2 * 3**4 leaves unpruned).
     ([PT(1.0), LT(0.7)] * 4, 0.0, 16),
     ([PT(1.0), LT(-0.4), PT(1.0), LT(0.4), BT(0.0)] * 2, 1.0, 32),
+    # Thirty branching steps with one live child each: the budget counts
+    # branches, not steps.
+    ([LT(-LN3)] + [BT(1.0)] * 30 + [LT(LN3)], 0.5, 2),
+    ([LT(-LN3)] + [BT(1.0), LT(0.5), PT(0.0), LT(-0.5)] * 15 + [LT(LN3)],
+     0.3, 2),
 ])
 def test_brute_force_prunes_zero_probability_branches(monkeypatch, steps,
                                                       p_in, leaves):

@@ -11,6 +11,7 @@ import pytest
 
 from coarseops.engine import (
     MERGE_TOL,
+    ResourceError,
     exact_work_distribution,
     final_state,
     total_variation,
@@ -77,6 +78,19 @@ def test_enumerate_deterministic_protocol():
     assert len(paths) == 1
     assert paths[0].weight == 1.0
     assert paths[0].tags == (G, G)
+    # Zero-weight choices never enter the product, so a long protocol with
+    # one branch is one path.
+    long = enumerate_paths(Protocol(CTX, [PT(1.0)] * 30))
+    assert [(p.weight, p.tags) for p in long] == [(1.0, (G,) * 30)]
+
+
+def test_enumerate_refuses_past_atom_cap(monkeypatch):
+    # Only positive-weight choices count against the budget.
+    monkeypatch.setattr("coarseops.engine.ATOM_CAP", 1000)
+    steps = [PT(0.5)] * 9 + [PT(1.0)] * 30
+    assert len(enumerate_paths(Protocol(CTX, steps))) == 512
+    with pytest.raises(ResourceError, match="ATOM_CAP = 1000"):
+        enumerate_paths(Protocol(CTX, [PT(0.5)] * 10))
 
 
 def test_enumerate_weight_sum_on_random_protocols():
