@@ -13,9 +13,10 @@ population (A6 raising, A7 lowering) and p_in for moving away from it on
 one side (A8).  The pivot is q* = (p_out + ref)/2 and p_f = |p_out - ref|/2.
 The side of the move picks the stage-III margin and p_3: epsilon_iii and
 p_3 = q* upward, epsilon_iii_tilde and p_3 = 1 - q* downward.  p_1 is
-min(p_in, 1 - p_in).  A margin that rounds below 0 (p_out within an ulp or
-two of p_beta) is taken as 0, which makes the bound vacuous (threshold 0,
-probability 0) but keeps it valid.
+min(p_in, 1 - p_in).  Stage II absorbs half the stage-III margin eps: the
+threshold is eps/2 and p_2 = lemma_w2_probability(eps/2).  A margin that
+rounds below 0 (p_out within an ulp or two of p_beta) is taken as 0: the
+bound is vacuous (threshold 0, p_2 = 0, probability 0) but valid.
 """
 
 from __future__ import annotations
@@ -63,18 +64,18 @@ class NoGoBound:
 
 def _stage_bound(p_in, p_out, ref, ctx, regime) -> NoGoBound:
     """Compose the stage bounds for the move from `ref` toward p_out (see
-    the module docstring): the loss threshold is eps/2 and p_2 = min{2/3,
-    eps/(8/beta + eps)}, since stage II absorbs half the margin."""
+    the module docstring).  p_2 is 0 where eps/2 is 0, which the lemma
+    refuses: a vacuous margin, or a subnormal one that halves to 0."""
     q_star = (p_out + ref) / 2.0
     if p_out >= ref:
         eps, p3 = epsilon_iii(q_star, ctx), q_star
     else:
         eps, p3 = epsilon_iii_tilde(q_star, ctx), 1.0 - q_star
-    eps = max(eps, 0.0)
+    half = max(eps, 0.0) / 2.0
     p1 = min(p_in, 1.0 - p_in)
-    p2 = min(2.0 / 3.0, eps / (8.0 / ctx.beta + eps))
+    p2 = lemma_w2_probability(half, ctx) if half > 0.0 else 0.0
     pf = abs(p_out - ref) / 2.0
-    return NoGoBound(eps / 2.0, p1 * p2 * p3 * pf, p1, p2, p3, pf, regime)
+    return NoGoBound(half, p1 * p2 * p3 * pf, p1, p2, p3, pf, regime)
 
 
 def lemma_simplecase_bound(
@@ -134,8 +135,8 @@ def lemma_path_bound(
     p_in: float, q_out: float, ctx: ThermalContext
 ) -> tuple[float, float]:
     """Single-path loss bound: a path from p_in ending at level q_out loses
-    at least epsilon_iii(q_out)/2 with probability at least
-    p_in * min{2/3, eps/(8/beta + eps)} * q_out."""
+    at least eps/2, eps = epsilon_iii(q_out), with probability at least
+    p_in * lemma_w2_probability(eps/2) * q_out."""
     p_beta = ctx.p_beta
     if not (0.0 < p_in < p_beta < q_out <= 0.5):
         raise ValueError(

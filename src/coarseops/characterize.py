@@ -74,8 +74,9 @@ def classify_transition(
     p_beta = ctx.p_beta
     if p_beta >= 0.5:
         # At zero boundary gap the swap is free at the boundary, so the
-        # forbidden regions collapse; the classifier requires e0 > 0.
-        raise ValueError("classification requires a positive boundary energy")
+        # forbidden regions collapse; p_beta is 1/2 below beta*e0 ~ 2e-16.
+        raise ValueError(f"classification requires p_beta < 1/2, got p_beta "
+                         f"= {p_beta} at beta*e0 = {ctx.beta * ctx.e0:.6g}")
     if p_in == 1.0:
         return TransitionClassification("pure_excited")
     if min(p_in, p_beta) <= p_out <= max(p_in, p_beta):

@@ -56,7 +56,6 @@ def _make_ctx(beta, e0, p_beta, default_p_beta=None):
             raise click.UsageError("one of --e0 or --p-beta is required")
         if not 0.0 < p_beta <= 0.5:
             _fail(EXIT_VALIDATION, f"p_beta must lie in (0, 1/2], got {p_beta}")
-    if e0 is None:
         e0 = energy_of_population(p_beta, ThermalContext(beta, 0.0))
     return ThermalContext(beta=beta, e0=e0)
 

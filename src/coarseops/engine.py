@@ -57,8 +57,7 @@ class ResourceError(RuntimeError):
 def _check_budget(size: int, what: str) -> None:
     """Refuse a structure of `size` entries past ATOM_CAP (read per call)."""
     if size > ATOM_CAP:
-        raise ResourceError(f"{what} of {size} exceeds ATOM_CAP = {ATOM_CAP}; "
-                            "use monte_carlo for this protocol")
+        raise ResourceError(f"{what} of {size} exceeds ATOM_CAP = {ATOM_CAP}")
 
 
 def _merge_atoms(values: np.ndarray, tol: float, *mass_columns: np.ndarray):
@@ -297,7 +296,8 @@ def _run_dp(steps, start_energy: float, ctx, p: float):
 def exact_work_distribution(
     proto: Protocol, initial: QubitState
 ) -> WorkDistribution:
-    """Exact law of the total work by dynamic programming (_run_dp)."""
+    """Exact law of the total work by dynamic programming (_run_dp).
+    Raises ResourceError past ATOM_CAP; monte_carlo samples such a law."""
     works, unocc, occ = _run_dp(
         proto.steps, proto.ctx.e0, proto.ctx, initial.p_excited
     )

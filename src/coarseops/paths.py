@@ -296,7 +296,7 @@ def area_between(path: Path, initial_level: float = math.nan) -> AreaReport:
         if tag is Tag.GIBBS:
             level = gibbs_population(e_to, ctx)
         elif tag is Tag.SWAP:
-            level = 1.0 - level if not math.isnan(level) else math.nan
+            level = 1.0 - level
     return AreaReport(total, tuple(segments))
 
 

@@ -17,13 +17,16 @@ rather than raising.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
 
-from coarseops.thermo import ThermalContext, _require_finite
+from coarseops.thermo import (
+    ThermalContext,
+    _require_finite,
+    energy_of_population,
+)
 
 # Gap tolerance of both physicality constraints, in units of 1/beta: staged
 # protocols compute increments by division, so exact equality is too brittle.
@@ -128,11 +131,7 @@ def normalize(proto: Protocol) -> Protocol:
     probabilities combine as gamma1(1-gamma2) + gamma2(1-gamma1).  The final
     state and work distribution are unchanged."""
     def _is_noop(step: ProtocolStep) -> bool:
-        if isinstance(step, PartialThermalization):
-            return step.lam == 0.0
-        if isinstance(step, LevelTransformation):
-            return step.delta_e == 0.0
-        return step.gamma == 0.0
+        return getattr(step, _STEP_FIELDS[type(step)][2]) == 0.0
 
     merged: list[ProtocolStep] = []
     for step in proto.steps:
@@ -168,8 +167,6 @@ def build_average_work_protocol(
     followed by a full thermalization, walking the gap to the one matching
     p_out; stage III shifts back to the boundary.  Its mean work approaches
     the free-energy difference of the endpoint states as n_stage2 grows."""
-    from coarseops.thermo import energy_of_population
-
     if n_stage2 < 1:
         raise ValueError(f"n_stage2 must be >= 1, got {n_stage2}")
     e_in = energy_of_population(p_in, ctx)
@@ -249,17 +246,16 @@ _STEP_KEYS = {
     "LT": ("delta_e", LevelTransformation),
     "BT": ("gamma", BistochasticTransformation),
 }
+# _STEP_KEYS by step class: JSON type, JSON key and the class's one field.
+_STEP_FIELDS = {cls: (kind, key, fields(cls)[0].name)
+                for kind, (key, cls) in _STEP_KEYS.items()}
 
 
 def to_json_dict(proto: Protocol) -> dict:
     steps = []
     for step in proto.steps:
-        if isinstance(step, PartialThermalization):
-            steps.append({"type": "PT", "lambda": step.lam})
-        elif isinstance(step, LevelTransformation):
-            steps.append({"type": "LT", "delta_e": step.delta_e})
-        else:
-            steps.append({"type": "BT", "gamma": step.gamma})
+        kind, key, attr = _STEP_FIELDS[type(step)]
+        steps.append({"type": kind, key: getattr(step, attr)})
     return {"beta": proto.ctx.beta, "e0": proto.ctx.e0, "steps": steps}
 
 

@@ -186,8 +186,7 @@ def _check_appendix_utilities(ctx, cases, rng):
     # at gaps in [1e-3, 5]/beta, built on beta*d; both sides are energies
     # squared times beta^2.
     bd = np.linspace(1e-3, 5.0, 100)
-    q = np.array([thermo.gibbs_population(float(x) / ctx.beta, ctx)
-                  for x in bd])[:, None]
+    q = thermo.gibbs_population(bd / ctx.beta, ctx)[:, None]
     lhs = 2.0 * q * (1.0 - q) * bd[:, None] * bd
     rhs = 2.0 * (0.5 - q) * bd
     ok = ok and bool((lhs <= rhs + 1e-12).all())

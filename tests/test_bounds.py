@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from coarseops import bounds
 from coarseops.bounds import (
     NoGoBound,
     cantelli_lower,
@@ -274,6 +275,23 @@ PINNED_REPRS = [
 @pytest.mark.parametrize("bound, args, expected", PINNED_REPRS)
 def test_bounds_keep_their_pinned_bits(bound, args, expected):
     assert repr(bound(*args, CTX)) == expected
+
+
+def test_every_bound_takes_p2_from_the_stage2_lemma(monkeypatch):
+    # p_2 is the lemma that verify's stage2_concentration check tests, at
+    # the loss threshold, not a second statement of its formula.
+    calls = []
+
+    def lemma(epsilon2, ctx):
+        calls.append(epsilon2)
+        return 0.5
+
+    monkeypatch.setattr(bounds, "lemma_w2_probability", lemma)
+    for bound, args, _ in PINNED_REPRS[:4]:
+        b = bound(*args, CTX)
+        assert b.p_2 == 0.5 and calls.pop() == b.work_threshold
+    thr, prob = lemma_path_bound(0.125, 0.5, CTX)
+    assert calls == [thr] and prob == 0.125 * 0.5 * 0.5
 
 
 def test_margin_rounding_below_zero_gives_a_vacuous_bound():

@@ -391,6 +391,43 @@ def test_simulate_underflowed_thermal_start_names_the_cause():
     assert run(*args, "--p-in", "0.1", "--stage2-steps", "4").exit_code == 0
 
 
+def test_simulate_protocol_file_starts_from_an_underflowed_thermal_state(
+        tmp_path):
+    # Only the built staged protocol needs a start of finite gap; a file at
+    # beta*e0 = 800 runs from p_beta = 0.0, the thermal population to double
+    # precision.
+    f = tmp_path / "proto.json"
+    f.write_text(to_json(build_thermalize_once(
+        0.0, 1.0, ThermalContext(1.0, 800.0))))
+    result = run("simulate", "--protocol", str(f))
+    assert result.exit_code == 0, result.output
+    assert result.stdout == "work,probability\n-800,0.5\n0,0.5\n"
+    assert result.stderr.startswith("final_p_excited=0.5 mean=-400 ")
+
+
+def test_simulate_past_atom_cap_prints_one_hint(monkeypatch):
+    monkeypatch.setattr("coarseops.engine.ATOM_CAP", 100)
+    result = run("simulate", "--p-beta", "0.25", "--p-in", "0.1",
+                 "--p-out", "0.3", "--stage2-steps", "200")
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "error: work support of 102 exceeds ATOM_CAP = 100; "
+        "rerun with --samples"]
+
+
+@pytest.mark.parametrize("command", ["classify", "bounds"])
+@pytest.mark.parametrize("e0", ["0", "1e-20"])
+def test_boundary_gap_too_small_names_p_beta(command, e0):
+    # Below beta*e0 of about 2e-16, p_beta rounds to exactly 1/2 although
+    # e0 > 0, so the refusal names p_beta and beta*e0, not the gap's sign.
+    result = run(command, "--e0", e0, "--p-in", "0.1", "--p-out", "0.3")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: classification requires p_beta < 1/2, got p_beta = 0.5 "
+        f"at beta*e0 = {e0}"]
+
+
 def test_verify_passes_at_large_beta():
     # The quadrature endpoints and the refutation's pinned path scale with
     # 1/beta, so beta = 400 tests the same physics as beta = 1.

@@ -150,7 +150,10 @@ def test_brute_force_refuses_before_the_frontier_passes_atom_cap(monkeypatch):
     assert total_variation(brute_force_work_distribution(proto, initial),
                            exact_work_distribution(proto, initial),
                            CTX) <= 1e-12
-    with pytest.raises(ResourceError):
+    # The refusal states the budget only: monte_carlo is no substitute for
+    # an oracle.
+    with pytest.raises(ResourceError, match=r"^oracle frontier of 1458 "
+                       r"exceeds ATOM_CAP = 486$"):
         brute_force_work_distribution(Protocol(CTX, [PT(0.5)] * 6),
                                       QubitState(0.5))
 
@@ -353,7 +356,8 @@ def test_atom_cap_refuses(monkeypatch):
         steps.append(LT(-math.sqrt(2 + k)))
     proto = Protocol(CTX, steps)
     monkeypatch.setattr("coarseops.engine.ATOM_CAP", 1000)
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match=r"^work support of 1015 "
+                       r"exceeds ATOM_CAP = 1000$"):
         exact_work_distribution(proto, QubitState(0.5))
 
 

@@ -89,7 +89,8 @@ def test_enumerate_refuses_past_atom_cap(monkeypatch):
     monkeypatch.setattr("coarseops.engine.ATOM_CAP", 1000)
     steps = [PT(0.5)] * 9 + [PT(1.0)] * 30
     assert len(enumerate_paths(Protocol(CTX, steps))) == 512
-    with pytest.raises(ResourceError, match="ATOM_CAP = 1000"):
+    with pytest.raises(ResourceError, match=r"^path enumeration of 1024 "
+                       r"exceeds ATOM_CAP = 1000$"):
         enumerate_paths(Protocol(CTX, [PT(0.5)] * 10))
 
 
