@@ -39,12 +39,10 @@ class NoGoBound:
     regime: str
 
     def __post_init__(self):
-        if not (0.0 <= self.p_1 <= 1.0 and 0.0 <= self.p_2 <= 1.0
-                and 0.0 <= self.p_3 <= 1.0 and 0.0 <= self.p_f <= 1.0):
-            for name in ("p_1", "p_2", "p_3", "p_f"):
-                v = getattr(self, name)
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        for name in ("p_1", "p_2", "p_3", "p_f"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.work_threshold < 0.0:
             raise ValueError("work threshold must be nonnegative")
 
@@ -125,10 +123,16 @@ def exact_binomial_upper_tail(n: int, p: float) -> float:
 
 
 def lemma_w2_probability(epsilon2: float, ctx: ThermalContext) -> float:
-    """Stage-II concentration probability min{2/3, eps / (4/beta + eps)}."""
+    """Stage-II concentration probability min{2/3, eps / (4/beta + eps)};
+    where 4/beta overflows (beta below about 2.2e-308), in the equal form
+    beta*eps / (4 + beta*eps)."""
     if epsilon2 <= 0.0:
         raise ValueError(f"epsilon2 must be positive, got {epsilon2}")
-    return min(2.0 / 3.0, epsilon2 / (4.0 / ctx.beta + epsilon2))
+    scale = 4.0 / ctx.beta
+    if scale == math.inf:
+        x = ctx.beta * epsilon2
+        return min(2.0 / 3.0, x / (4.0 + x))
+    return min(2.0 / 3.0, epsilon2 / (scale + epsilon2))
 
 
 def lemma_path_bound(

@@ -280,8 +280,7 @@ def _run_dp(steps, start_energy: float, ctx, p: float):
             unocc = np.append(unocc, empty)
             occ = np.append(empty, occ)
             keep = (unocc + occ) > 0
-            if not keep.all():
-                works, unocc, occ = works[keep], unocc[keep], occ[keep]
+            works, unocc, occ = works[keep], unocc[keep], occ[keep]
             works, unocc, occ = _merge_atoms(works, MERGE_TOL / ctx.beta,
                                              unocc, occ)
             _check_budget(len(works), "work support")
@@ -333,8 +332,7 @@ def brute_force_work_distribution(
     work = np.zeros(2)
     for i, step in enumerate(proto.steps):
         live = prob != 0.0
-        if not live.all():
-            occupied, prob, work = occupied[live], prob[live], work[live]
+        occupied, prob, work = occupied[live], prob[live], work[live]
         if isinstance(step, LevelTransformation):
             work = np.where(occupied, work - step.delta_e, work)
         elif isinstance(step, PartialThermalization):

@@ -242,7 +242,6 @@ class Segment:
     level: float
     tag: str
     area: float
-    in_stage2: bool
 
 
 @dataclass(frozen=True)
@@ -278,20 +277,14 @@ def area_between(path: Path, initial_level: float = math.nan) -> AreaReport:
     ):
         e_from, e_to = e, e + inc
         e = e_to
-        if math.isnan(level):
-            area = math.nan
-        else:
-            area = abs(
-                gibbs_integral(e_from, e_to, ctx) - level * (e_to - e_from)
-            )
+        area = abs(gibbs_integral(e_from, e_to, ctx) - level * (e_to - e_from))
         # Stage II spans the segments after the first Gibbs tag up to and
         # including the one ending at the last Gibbs tag.
-        in_stage2 = first < i <= last
-        if in_stage2:
+        if first < i <= last:
             total += area
         segments.append(
             Segment(i, e_from, e_to, level,
-                    tag.value if tag is not None else "end", area, in_stage2)
+                    tag.value if tag is not None else "end", area)
         )
         if tag is Tag.GIBBS:
             level = gibbs_population(e_to, ctx)

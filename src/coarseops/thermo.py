@@ -82,11 +82,9 @@ def gibbs_population(e, ctx: ThermalContext):
         if not np.isfinite(e).all():
             raise ValueError("energy must be finite, got a non-finite entry")
         x = ctx.beta * e
-        y = 1.0 / (1.0 + np.exp(np.minimum(x, _LOGISTIC_CUT)))
-        big = x > _LOGISTIC_CUT
-        if big.any():
-            y = np.where(big, np.exp(-np.maximum(x, _LOGISTIC_CUT)), y)
-        return y
+        return np.where(x > _LOGISTIC_CUT,
+                        np.exp(-np.maximum(x, _LOGISTIC_CUT)),
+                        1.0 / (1.0 + np.exp(np.minimum(x, _LOGISTIC_CUT))))
     x = ctx.beta * _require_finite(e, "energy")
     if x > _LOGISTIC_CUT:
         return math.exp(-x)
@@ -127,12 +125,10 @@ def gibbs_free_energy(e: float, ctx: ThermalContext) -> float:
     -(1/beta) * ln(1 + exp(-beta*e)), which equals
     free_energy(thermal state at e, e)."""
     e = _require_finite(e, "energy")
-    # log1p form avoids loss of precision for large beta*e.
+    # ln(1 + exp(-be)) = max(-be, 0) + log1p(exp(-|be|)): exp never
+    # overflows, and log1p keeps precision for large |be|.
     be = ctx.beta * e
-    if be >= 0:
-        return -math.log1p(math.exp(-be)) / ctx.beta
-    # 1 + exp(-be) = exp(-be) * (1 + exp(be))
-    return (be - math.log1p(math.exp(be))) / ctx.beta
+    return -(max(-be, 0.0) + math.log1p(math.exp(-abs(be)))) / ctx.beta
 
 
 def gibbs_integral(e_from: float, e_to: float, ctx: ThermalContext) -> float:

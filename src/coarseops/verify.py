@@ -19,6 +19,7 @@ large beta; at beta = 1 every scaling is an exact no-op.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -27,6 +28,11 @@ from coarseops.paths import Tag
 from coarseops.thermo import QubitState, ThermalContext
 
 _TINY = float(np.finfo(float).tiny)
+# The widest value the suite forms, in units of 1/beta: a random protocol's
+# work, at most 7 shifts of 4/beta between levels in [-2, 2]/beta and 2 of
+# 2/beta to and from the boundary gap (plus 2*e0, which the caller sets).
+_WIDEST = 32.0
+_MIN_BETA = _WIDEST / sys.float_info.max
 
 
 def _simpson(f, a: float, b: float, *args) -> float:
@@ -236,10 +242,15 @@ def run_checks(ctx: ThermalContext, cases: int, seed: int):
     """Run every check with `cases` randomized instances, check i on its
     own Philox stream keyed seed + 1000*i.  Returns (name, passed, margin)
     per check, in suite order.  Raises ValueError, before any check runs,
-    when a key would fall outside Philox's range [0, 2**128)."""
+    when a key would fall outside Philox's range [0, 2**128), or when beta
+    is below _MIN_BETA (about 1.78e-307), where the suite's widest value,
+    32/beta, overflows."""
     top = 2**128 - 1 - 1000 * (len(_CHECKS) - 1)
     if not 0 <= seed <= top:
         raise ValueError(f"seed must lie in [0, {top}], got {seed}")
+    if ctx.beta < _MIN_BETA:
+        raise ValueError(f"verify needs beta >= {_MIN_BETA!r}, where "
+                         f"{_WIDEST:g}/beta is finite, got beta = {ctx.beta!r}")
     results = []
     for i, (name, check) in enumerate(_CHECKS):
         rng = np.random.Generator(np.random.Philox(key=seed + 1000 * i))

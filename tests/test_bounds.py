@@ -124,6 +124,17 @@ def test_w2_probability_examples():
     assert all(b >= a for a, b in zip(grid, grid[1:]))
 
 
+def test_w2_probability_is_the_same_where_4_over_beta_overflows():
+    # Below beta of about 2.2e-308, 4/beta is inf; at the same beta*e0 the
+    # bound, p_2 included, must read as it does at beta = 1.
+    tiny = theorem_main_bound(0.1, 0.5, ThermalContext(1e-308, 1e306))
+    unit = theorem_main_bound(0.1, 0.5, ThermalContext(1.0, 1e-2))
+    assert unit.p_2 == 3.1357546647549253e-4
+    assert tiny.p_2 == pytest.approx(unit.p_2, rel=1e-12, abs=0)
+    assert tiny.probability_lower_bound == pytest.approx(
+        unit.probability_lower_bound, rel=1e-12, abs=0)
+
+
 def test_lemma_path_example():
     thr, prob = lemma_path_bound(0.125, 0.5, CTX)
     assert thr == pytest.approx(math.log(2) / 2, rel=1e-14)

@@ -511,3 +511,79 @@ def test_unwritable_out_is_one_line_validation_error(tmp_path, args):
     assert line.startswith("error: cannot write output: ")
     assert "Traceback" not in result.output
     assert isinstance(result.exception, SystemExit)
+
+
+def test_simulate_monte_carlo_json_carries_the_standard_error():
+    result = run("simulate", "--p-beta", "0.25", "--p-in", "0.1",
+                 "--p-out", "0.3", "--stage2-steps", "20", "--samples", "100",
+                 "--format", "json")
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.stdout)
+    assert doc["mean_std_error"] == math.sqrt(doc["variance"] / 100)
+
+
+def test_figure8_refuses_p_beta_below_the_reference_inputs():
+    # The reference inputs go up to 3/16 = 0.1875 and must lie below p_beta.
+    result = run("figure8", "--p-beta", "0.15")
+    assert result.exit_code == 2
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: p_beta=0.15")
+    assert line.endswith("leaves no room for the reference inputs")
+
+
+def test_classify_needs_a_context():
+    # classify has no default p_beta, so leaving out both flags is a usage
+    # error.
+    result = run("classify", "--p-in", "0.1", "--p-out", "0.3")
+    assert result.exit_code == 1
+    assert "one of --e0 or --p-beta is required" in result.output
+
+
+def test_classify_refuses_p_beta_above_one_half():
+    result = run("classify", "--p-beta", "0.6", "--p-in", "0.1",
+                 "--p-out", "0.3")
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "error: p_beta must lie in (0, 1/2], got 0.6"]
+
+
+@pytest.mark.parametrize("document, message", [
+    ("[]", "protocol document must be a JSON object"),
+    ('{"beta": 1.0, "e0": 1.0, "steps": {}}',
+     "protocol steps must be a JSON array"),
+    ('{"beta": 1.0, "e0": 1.0, "steps": [1]}',
+     "step 0: expected an object with a 'type' key"),
+    ('{"beta": 1.0, "e0": 1.0, "steps": [{"type": "PT"}]}',
+     "step 0: missing 'lambda'"),
+])
+def test_simulate_malformed_protocol_document_is_one_line(tmp_path, document,
+                                                          message):
+    f = tmp_path / "protocol.json"
+    f.write_text(document)
+    result = run("simulate", "--protocol", str(f))
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        f"error: invalid protocol file: {message}"]
+
+
+@pytest.mark.parametrize("beta", ["4e-308", "1e-308", "5e-324",
+                                  repr(math.nextafter(verify._MIN_BETA, 0))])
+def test_verify_refuses_beta_where_its_widest_value_overflows(beta):
+    # Below verify._MIN_BETA = 32/DBL_MAX a random protocol's work can
+    # overflow; at 4e-308 a quadrature span already did, and at
+    # 1e-308 numpy warned twice before the error.
+    result = run("verify", "--beta", beta, "--e0", "0.5")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"error: verify needs beta >= {verify._MIN_BETA!r}, where 32/beta "
+        f"is finite, got beta = {float(beta)!r}"]
+
+
+def test_verify_passes_at_its_smallest_beta():
+    assert 32.0 / verify._MIN_BETA < math.inf
+    for e0 in ("0.5", repr(math.log(3) / verify._MIN_BETA)):
+        result = run("verify", "--beta", repr(verify._MIN_BETA),
+                     "--e0", e0, "--cases", "40")
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""

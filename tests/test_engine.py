@@ -6,6 +6,7 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import pathlib
 import tracemalloc
 
 from unittest import mock
@@ -520,6 +521,23 @@ def test_monte_carlo_single_sample():
     result = monte_carlo(proto, QubitState(0.0), 1, seed=5)
     assert len(result.distribution.values) == 1
     assert result.distribution.probabilities == (1.0,)
+
+
+def test_monte_carlo_refuses_zero_samples():
+    proto = build_thermalize_once(0.0, 1.0, CTX)
+    with pytest.raises(ValueError, match=r"^n_samples must be >= 1, got 0$"):
+        monte_carlo(proto, QubitState(0.0), 0, seed=5)
+
+
+def test_readme_library_example_prints_the_atoms(capsys):
+    # The README's library example is the one use of WorkDistribution.atoms.
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text()
+    fence = "```python\n"
+    start = text.index(fence, text.index("## Library")) + len(fence)
+    exec(text[start:text.index("```", start)], {})
+    atoms_line = capsys.readouterr().out.splitlines()[0]
+    assert atoms_line == "{0.0: 0.5, 1.0986122886681098: 0.5}"
 
 
 def test_monte_carlo_deterministic_in_seed():

@@ -62,6 +62,11 @@ def random_shrunk_path(seed: int, with_swaps: bool):
     return random_cyclic_path(rng, CTX, with_swaps)
 
 
+def test_path_needs_one_more_increment_than_tags():
+    with pytest.raises(ValueError, match=r"k\+1 increments \(got 1 and 1\)"):
+        make_path([0.0], [G])
+
+
 def test_enumerate_two_thermalizations():
     proto = Protocol(CTX, [PT(0.3), PT(0.6)])
     paths = enumerate_paths(proto)

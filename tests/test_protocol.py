@@ -117,6 +117,13 @@ def test_average_work_protocol_degenerate_is_noop():
         build_average_work_protocol(0.0, 0.3, CTX, n_stage2=2)
 
 
+def test_builders_refuse_an_empty_loop():
+    with pytest.raises(ValueError, match=r"^n_stage2 must be >= 1, got 0$"):
+        build_average_work_protocol(0.1, 0.3, CTX, 0)
+    with pytest.raises(ValueError, match=r"^max_steps must be >= 1, got 0$"):
+        random_protocol(0, 0, 2.0, CTX)
+
+
 def test_thermalize_once_shape():
     proto = build_thermalize_once(0.0, 0.7, CTX)
     assert proto.steps == (LT(-math.log(3)), PT(0.7), LT(math.log(3)))
