@@ -5,9 +5,12 @@ curve data (figure8), run the self-verification suite, classify a
 transition, and evaluate the no-go bounds.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 verification
-failure.  Every subcommand runs inside one boundary, `_Group.invoke`: a
-ValueError or ResourceError from the library prints one `error:` line and
-exits 2, so no domain error reaches the user as a traceback.
+failure.  Every subcommand runs inside one boundary, `_Group.invoke`, the
+only code that prints an `error:` line: a ValueError or ResourceError, from
+the library or the CLI's own checks, or the FloatingPointError numpy raises
+there on overflow or an invalid operation, prints one line and exits 2, so
+no domain error reaches the user as a traceback, or as warnings and an
+infinite work value.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import json
 import sys
 
 import click
+import numpy as np
 
 from coarseops.bounds import theorem_main_bound
 from coarseops.characterize import classify_transition, synthesize_protocol
@@ -41,11 +45,6 @@ EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
 def _make_ctx(beta, e0, p_beta, default_p_beta=None):
     if e0 is not None and p_beta is not None:
         raise click.UsageError("--e0 and --p-beta are mutually exclusive")
@@ -55,7 +54,7 @@ def _make_ctx(beta, e0, p_beta, default_p_beta=None):
         if p_beta is None:
             raise click.UsageError("one of --e0 or --p-beta is required")
         if not 0.0 < p_beta <= 0.5:
-            _fail(EXIT_VALIDATION, f"p_beta must lie in (0, 1/2], got {p_beta}")
+            raise ValueError(f"p_beta must lie in (0, 1/2], got {p_beta}")
         e0 = energy_of_population(p_beta, ThermalContext(beta, 0.0))
     return ThermalContext(beta=beta, e0=e0)
 
@@ -66,7 +65,7 @@ def _write_output(text: str, out):
             with open(out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            _fail(EXIT_VALIDATION, f"cannot write output: {exc}")
+            raise ValueError(f"cannot write output: {exc}") from None
     else:
         click.echo(text, nl=False)
 
@@ -96,9 +95,11 @@ class _Group(click.Group):
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
-        except (ValueError, ResourceError) as exc:
-            _fail(EXIT_VALIDATION, str(exc))
+            with np.errstate(over="raise", invalid="raise"):
+                return super().invoke(ctx)
+        except (ValueError, ResourceError, FloatingPointError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_VALIDATION)
 
 
 @click.group(cls=_Group)
@@ -130,16 +131,16 @@ def simulate(beta, e0, p_beta, protocol_file, p_in, p_out, stage2_steps,
             with open(protocol_file) as fh:
                 proto = from_json(fh.read())
         except (OSError, ValueError) as exc:
-            _fail(EXIT_VALIDATION, f"invalid protocol file: {exc}")
+            raise ValueError(f"invalid protocol file: {exc}") from None
     else:
         if p_out is None:
             raise click.UsageError("provide --protocol or --p-out")
         ctx = _make_ctx(beta, e0, p_beta, default_p_beta=0.25)
         if p_in is None and ctx.p_beta == 0.0:
-            _fail(EXIT_VALIDATION,
-                  "the boundary thermal population underflows to 0 at "
-                  f"beta*e0 = {ctx.beta * ctx.e0:.6g}; give the start "
-                  "population with --p-in")
+            raise ValueError(
+                "the boundary thermal population underflows to 0 at "
+                f"beta*e0 = {ctx.beta * ctx.e0:.6g}; give the start "
+                "population with --p-in")
         start = ctx.p_beta if p_in is None else p_in
         proto = build_average_work_protocol(start, p_out, ctx, stage2_steps)
     report = validate(proto)
@@ -148,7 +149,7 @@ def simulate(beta, e0, p_beta, protocol_file, p_in, p_out, stage2_steps,
             click.echo(f"validation: step {v.step_index}: {v.message}", err=True)
         sys.exit(EXIT_VALIDATION)
     if samples is not None and samples < 1:
-        _fail(EXIT_VALIDATION, f"--samples must be >= 1, got {samples}")
+        raise ValueError(f"--samples must be >= 1, got {samples}")
     initial = QubitState(proto.ctx.p_beta if p_in is None else p_in)
     std_error = None
     if samples is not None:
@@ -159,7 +160,7 @@ def simulate(beta, e0, p_beta, protocol_file, p_in, p_out, stage2_steps,
         try:
             dist = exact_work_distribution(proto, initial)
         except ResourceError as exc:
-            _fail(EXIT_VALIDATION, f"{exc}; rerun with --samples")
+            raise ResourceError(f"{exc}; rerun with --samples") from None
         final_p = final_state(proto, initial).p_excited
     if fmt == "csv":
         _write_output(dist.to_csv(), out)
@@ -209,8 +210,8 @@ def figure8(beta, e0, p_beta, points, out):
     if points < 100:
         raise click.UsageError("--points must be at least 100")
     if ctx.p_beta >= 0.5 or max(FIGURE8_P_INS) >= ctx.p_beta:
-        _fail(EXIT_VALIDATION,
-              f"p_beta={ctx.p_beta} leaves no room for the reference inputs")
+        raise ValueError(
+            f"p_beta={ctx.p_beta} leaves no room for the reference inputs")
     lines = ["p_out,work_threshold,prob_pin_1_16,prob_pin_1_8,prob_pin_3_16"]
     for row in figure8_rows(ctx, points):
         lines.append(",".join(_fmt(x) for x in row))
@@ -245,8 +246,8 @@ def bounds_cmd(beta, e0, p_beta, p_in, p_out, fmt, out):
     ctx = _make_ctx(beta, e0, p_beta)
     verdict = classify_transition(p_in, p_out, ctx)
     if verdict.verdict != "forbidden":
-        _fail(EXIT_VALIDATION,
-              f"transition is achievable ({verdict.verdict}); no bound applies")
+        raise ValueError(
+            f"transition is achievable ({verdict.verdict}); no bound applies")
     b = verdict.bound
     if fmt == "json":
         _write_output(json.dumps(b.to_json_dict(), indent=2) + "\n", out)

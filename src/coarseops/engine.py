@@ -8,12 +8,14 @@ support is one atom at work 0, held as plain floats, and
 sorting or merging.  While the protocol's lattice of signed shift counts,
 one axis per distinct |delta_e|, has at most 32 cells per level shift and
 at most ATOM_CAP cells (`_shift_lattice`), the DP holds the support as
-that dense lattice: a level shift moves mass by an index stride, each
-atom's work value is formed once at the end, and the one merge is the
-final one in `WorkDistribution.from_atoms`, a stable sort in cell order
-and hence deterministic.  Otherwise, after each level shift it drops atoms
-of zero mass and merges, by `_merge_atoms`, each run of atoms with gaps
-below MERGE_TOL / beta into one atom at first + sum p*(v - first) / sum p.
+that dense lattice: a level shift moves mass by an index stride, the work
+value of each cell of positive mass is formed once at the end, and the one
+merge is the final one in `WorkDistribution.from_atoms`, a stable sort in
+cell order and hence deterministic.  Otherwise a level shift moves only
+the atoms with occupied mass, keeps those with unoccupied mass, and merges,
+by `_merge_atoms`, each run of atoms with gaps below MERGE_TOL / beta into
+one atom at first + sum p*(v - first) / sum p.  No work value is formed
+without mass, so a work past the float range is one the law carries.
 Tolerances in units of 1/beta make the law of beta*W a function of beta*E.  An
 exhaustive branch enumeration, run as a breadth-first frontier of branch
 arrays that shares no code with the DP, serves as an independent oracle,
@@ -233,12 +235,14 @@ def _run_dp(steps, start_energy: float, ctx, p: float):
     lattice fits (_shift_lattice), the support is that lattice, flattened,
     and the columns cover the window of cells the shifts so far can reach:
     a level shift stores the window and moves the occupied column by its
-    axis's stride with one slice assignment.  The work of a cell, -sum c_j * |delta_e_j| over its signed counts c_j, is
-    formed once at the end, and nothing is merged here: the caller's
-    from_atoms merges once, deterministically (a stable sort in cell
-    order).  Otherwise each level shift appends the shifted atoms, drops
-    atoms of zero mass and merges by _merge_atoms at MERGE_TOL / beta,
-    refusing with ResourceError once the support exceeds ATOM_CAP atoms."""
+    axis's stride with one slice assignment.  The cells of zero mass are
+    dropped at the end, and the work of each other cell, -sum c_j *
+    |delta_e_j| over its signed counts c_j, is formed once; nothing is
+    merged here: the caller's from_atoms merges once, deterministically (a
+    stable sort in cell order).  Otherwise each level shift keeps the atoms
+    with unoccupied mass, appends those with occupied mass, shifted, and
+    merges by _merge_atoms at MERGE_TOL / beta, refusing with ResourceError
+    once the support exceeds ATOM_CAP atoms."""
     works, unocc, occ = 0.0, 1.0 - p, p
     lattice = _shift_lattice(steps)
     if lattice is not None:
@@ -275,18 +279,19 @@ def _run_dp(steps, start_energy: float, ctx, p: float):
                     lo -= s
                 unocc, occ = cell_unocc[lo:hi], cell_occ[lo:hi]
                 continue
-            works = np.append(works, works - step.delta_e)
-            empty = np.zeros_like(occ)
-            unocc = np.append(unocc, empty)
-            occ = np.append(empty, occ)
-            keep = (unocc + occ) > 0
-            works, unocc, occ = works[keep], unocc[keep], occ[keep]
+            works, unocc, occ = np.atleast_1d(works, unocc, occ)
+            stay, moved = unocc > 0, occ > 0
+            works = np.concatenate((works[stay], works[moved] - step.delta_e))
+            unocc = np.concatenate((unocc[stay],
+                                    np.zeros(np.count_nonzero(moved))))
+            occ = np.concatenate((np.zeros(np.count_nonzero(stay)), occ[moved]))
             works, unocc, occ = _merge_atoms(works, MERGE_TOL / ctx.beta,
                                              unocc, occ)
             _check_budget(len(works), "work support")
     if lattice is not None:
-        cell = np.arange(lo, hi)
-        works = np.zeros(hi - lo)
+        live = unocc + occ > 0
+        cell, unocc, occ = np.arange(lo, hi)[live], unocc[live], occ[live]
+        works = np.zeros(len(cell))
         for m, stride, size, neg in axes:
             works -= (cell // stride % size - neg) * m
     return works, unocc, occ
@@ -334,7 +339,8 @@ def brute_force_work_distribution(
         live = prob != 0.0
         occupied, prob, work = occupied[live], prob[live], work[live]
         if isinstance(step, LevelTransformation):
-            work = np.where(occupied, work - step.delta_e, work)
+            # An empty branch subtracts +-0.0, a no-op as work is never -0.0.
+            work = work - occupied * step.delta_e
         elif isinstance(step, PartialThermalization):
             g = gibbs_population(energies[i], proto.ctx)
             lam = step.lam

@@ -14,6 +14,8 @@ from coarseops import bounds, thermo, verify
 from coarseops.cli import main
 from coarseops.paths import epsilon_iii
 from coarseops.protocol import (
+    LevelTransformation as LT,
+    PartialThermalization as PT,
     Protocol,
     build_thermalize_once,
     from_json_dict,
@@ -587,3 +589,37 @@ def test_verify_passes_at_its_smallest_beta():
                      "--e0", e0, "--cases", "40")
         assert result.exit_code == 0, result.output
         assert result.stderr == ""
+
+
+def _write_protocol(tmp_path, ctx, steps):
+    f = tmp_path / "protocol.json"
+    f.write_text(to_json(Protocol(ctx, steps)))
+    return str(f)
+
+
+@pytest.mark.parametrize("extra", [(), ("--samples", "2000"),
+                                   ("--format", "json")])
+def test_simulate_work_past_the_float_range_is_one_line(tmp_path, extra):
+    # beta = 2**-1020 and shifts of 4/beta: beta*W is tame, but a branch
+    # that pays four shifts of -4/beta has a work beyond DBL_MAX, which
+    # numpy alone turns into a warning and a -inf atom.
+    beta = 2.0**-1020
+    rounds = [LT(-4 / beta), PT(1.0), LT(4 / beta), PT(1.0)] * 4
+    f = _write_protocol(tmp_path, ThermalContext(beta, 1 / beta), rounds)
+    result = run("simulate", "--protocol", f, "--p-in", "0.5", *extra)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: ") and "overflow" in line
+
+
+def test_simulate_overflow_in_a_cell_without_mass_is_no_error(tmp_path):
+    # The lattice window reaches shift counts of +-2, whose work +-3e308
+    # overflows, but no branch ends there: the law is the one atom at 0.
+    steps = [LT(1.5e308), LT(-1.5e308), LT(1.5e308), LT(-1.5e308)]
+    f = _write_protocol(tmp_path, ThermalContext(1.0, 0.0), steps)
+    result = run("simulate", "--protocol", f, "--p-in", "0.5")
+    assert result.exit_code == 0, result.output
+    assert result.stdout == "work,probability\n0,1\n"
+    assert result.stderr.splitlines() == [
+        "final_p_excited=0.5 mean=0 variance=0 atoms=1"]

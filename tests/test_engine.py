@@ -516,6 +516,87 @@ def test_dp_matches_brute_force_on_long_random_protocols():
     assert sides == {True, False}
 
 
+def test_lattice_and_fallback_layouts_agree_to_rounding(monkeypatch):
+    # The two layouts of the DP sum the same shifts in different orders,
+    # so their laws agree to rounding, not bit for bit: on this corpus 16
+    # of the 104 lattice protocols differ in the last bits of some atom.
+    laws = []
+    for seed in range(300):
+        proto = random_protocol(seed, 40, 2.0, CTX)
+        if engine._shift_lattice(proto.steps) is not None:
+            laws.append((proto, QubitState((seed % 11) / 10)))
+    assert len(laws) == 104
+    lattice = [exact_work_distribution(*law) for law in laws]
+    monkeypatch.setattr(engine, "_LATTICE_CELLS_PER_SHIFT", 0)
+    for (proto, initial), dist in zip(laws, lattice):
+        merged = exact_work_distribution(proto, initial)
+        assert len(merged.values) == len(dist.values)
+        assert total_variation(merged, dist, CTX) <= 1e-15
+
+
+def _commensurate_corpus():
+    """200 protocols of 5-24 rounds, each a shift to a gap on the grid
+    0.1 * k, k in [-20, 20], and a thermalization; the shifts, differences
+    of grid points, are commensurate but not equal as floats."""
+    ctx = ThermalContext(1.0, 1.0)
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        e, steps = ctx.e0, []
+        for _ in range(int(rng.integers(5, 25))):
+            gap = round(int(rng.integers(-20, 21)) / 10, 1)
+            steps += [LT(gap - e), PT(float(rng.random()))]
+            e = gap
+        steps.append(LT(ctx.e0 - e))
+        yield Protocol(ctx, steps)
+
+
+def test_merge_fallback_merges_commensurate_shifts(monkeypatch):
+    # Most of these protocols have too many distinct |delta_e| for the
+    # lattice.  The fallback merges their sums by value after each shift,
+    # so the support stays below 1,000 atoms (423 at most); keyed by the
+    # shift counts of each distinct |delta_e|, it would not.
+    corpus = list(_commensurate_corpus())
+    initial = QubitState(0.3)
+    assert sum(engine._shift_lattice(p.steps) is None for p in corpus) == 169
+    small = [p for p in corpus if sum(isinstance(s, PT) for s in p.steps) <= 10]
+    assert len(small) == 46
+    for proto in small:
+        dp = exact_work_distribution(proto, initial)
+        bf = brute_force_work_distribution(proto, initial)
+        assert total_variation(dp, bf, proto.ctx) <= 1e-12
+    monkeypatch.setattr(engine, "ATOM_CAP", 1000)
+    for proto in corpus:
+        exact_work_distribution(proto, initial)
+
+
+# Shifts of 1e308 whose sum of two overflows.  The thermalization at gap
+# 1e308 empties the excited level, so only branches without occupied mass
+# take the later shifts; no engine may form their work (a numpy overflow
+# warning is an error under this suite's filterwarnings).
+_EMPTIED_BEFORE_OVERFLOW = Protocol(ThermalContext(1.0, 0.0), [
+    LT(1e308), PT(1.0), LT(-1e308), LT(1e308), LT(-1e308)])
+
+
+_SOLVERS = {
+    "dp": exact_work_distribution,
+    "oracle": brute_force_work_distribution,
+    "monte_carlo": lambda proto, initial: monte_carlo(
+        proto, initial, 1000, 0).distribution,
+}
+
+
+@pytest.mark.parametrize("solver, fallback", [
+    ("dp", False), ("dp", True), ("oracle", False), ("monte_carlo", False),
+])
+def test_engines_form_work_only_where_there_is_mass(monkeypatch, solver,
+                                                     fallback):
+    if fallback:
+        monkeypatch.setattr(engine, "_LATTICE_CELLS_PER_SHIFT", 0)
+    dist = _SOLVERS[solver](_EMPTIED_BEFORE_OVERFLOW, QubitState(0.5))
+    assert dist.values == (-1e308, 0.0)
+    assert math.fsum(dist.probabilities) == pytest.approx(1.0)
+
+
 def test_monte_carlo_single_sample():
     proto = build_thermalize_once(0.0, 1.0, CTX)
     result = monte_carlo(proto, QubitState(0.0), 1, seed=5)
