@@ -1,0 +1,144 @@
+"""Print one sha256 per output of coarseops, so that two source trees can be
+compared bit for bit.
+
+Usage, from the root of each tree:
+
+    PYTHONPATH=src python .github/scripts/law_digests.py > digests.txt
+
+An empty diff of the two files means every output listed below is
+byte-identical; a changed line names the output that moved.  Each line is
+`<name> <sha256>`.  CLI outputs run in-process, as a user runs them, and are
+hashed with their exit code, stdout and stderr; library laws are hashed by
+repr, which tells -0.0 from 0.0.  It gates nothing, and takes about 20 s
+on one core.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import math
+
+import numpy as np
+
+from coarseops import cli, engine, paths
+from coarseops.protocol import (
+    PartialThermalization,
+    Protocol,
+    build_average_work_protocol,
+    random_protocol,
+)
+from coarseops.thermo import QubitState, ThermalContext
+
+CTX = ThermalContext(beta=1.0, e0=math.log(3))
+# One buffer per stream for the whole run: click keeps a wrapper per
+# stream object alive, so a fresh buffer per call would keep every output.
+_STDOUT, _STDERR = io.StringIO(), io.StringIO()
+
+
+def run_cli(*args) -> str:
+    """Exit code, stdout and stderr of one subcommand, run in-process."""
+    for buffer in (_STDOUT, _STDERR):
+        buffer.seek(0)
+        buffer.truncate()
+    with contextlib.redirect_stdout(_STDOUT), \
+            contextlib.redirect_stderr(_STDERR):
+        try:
+            cli.main.main(args=[str(a) for a in args], prog_name="coarseops")
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return f"{code}\n{_STDOUT.getvalue()}\n{_STDERR.getvalue()}"
+
+
+def digest(name: str, outputs) -> None:
+    h = hashlib.sha256()
+    for out in outputs:
+        h.update(out.encode() if isinstance(out, str) else repr(out).encode())
+        h.update(b"\0")
+    print(name, h.hexdigest(), flush=True)
+
+
+def start(seed: int) -> QubitState:
+    return QubitState((seed % 11) / 10)
+
+
+def full_thermalizations(seed: int, max_steps: int) -> Protocol:
+    """random_protocol with every lambda set to 1, which it never draws."""
+    steps = random_protocol(seed, max_steps, 2.0, CTX).steps
+    return Protocol(CTX, [PartialThermalization(1.0)
+                          if isinstance(s, PartialThermalization) else s
+                          for s in steps])
+
+
+def main() -> None:
+    for beta in ("1", "1e300"):
+        digest(f"figure8.beta={beta}",
+               [run_cli("figure8", "--beta", beta, "--points", 2500)])
+
+    grid = [(i / 100, j / 100) for i in range(101) for j in range(101)]
+    common = ("--p-beta", 0.25)
+    digest("classify.grid", (run_cli("classify", *common, "--p-in", a,
+                                     "--p-out", b) for a, b in grid))
+    for fmt in ("json", "csv"):
+        digest(f"bounds.grid.{fmt}", (run_cli(
+            "bounds", *common, "--p-in", a, "--p-out", b, "--format", fmt)
+            for a, b in grid))
+    digest("classify-bounds.p_in=-0.0", [
+        run_cli(*command, *common, "--p-in", "-0.0", "--p-out", 0.3)
+        for command in (("classify",), ("bounds",),
+                        ("bounds", "--format", "csv"))])
+
+    for seed in (0, 1, 7):
+        for fmt in ("text", "json"):
+            digest(f"verify.cases=500.seed={seed}.{fmt}", [run_cli(
+                "verify", "--cases", 500, "--seed", seed, "--format", fmt)])
+
+    staged = ("simulate", "--p-beta", 0.25, "--p-in", 0.1, "--p-out", 0.3,
+              "--stage2-steps", 200)
+    digest("simulate.exact", [run_cli(*staged)])
+    digest("simulate.samples", [run_cli(*staged, "--samples", 100_000,
+                                        "--seed", 7)])
+
+    for steps in (8, 12, 40):
+        protos = [random_protocol(seed, steps, 2.0, CTX) for seed in range(300)]
+        digest(f"dp.random_protocol.{steps}", (
+            engine.exact_work_distribution(p, start(seed))
+            for seed, p in enumerate(protos)))
+        digest(f"dp_final_occupation.random_protocol.{steps}", (
+            engine.dp_final_occupation(p, start(seed))
+            for seed, p in enumerate(protos)))
+    digest("dp.random_protocol.40.lam=1", (
+        engine.exact_work_distribution(full_thermalizations(seed, 40),
+                                       start(seed))
+        for seed in range(300)))
+    digest("oracle.random_protocol.8", (
+        engine.brute_force_work_distribution(
+            random_protocol(seed, 8, 2.0, CTX), start(seed))
+        for seed in range(300)))
+    digest("oracle.random_protocol.8.lam=1", (
+        engine.brute_force_work_distribution(full_thermalizations(seed, 8),
+                                             start(seed))
+        for seed in range(300)))
+    digest("monte_carlo.random_protocol.12", (
+        engine.monte_carlo(random_protocol(seed, 12, 2.0, CTX), start(seed),
+                           10_000, seed)
+        for seed in range(40)))
+    digest("staged", (
+        engine.exact_work_distribution(
+            build_average_work_protocol(p_in, 0.3, CTX, rounds),
+            QubitState(p_in))
+        for p_in, rounds in ((CTX.p_beta, 3000), (0.1, 2000))))
+
+    rng = np.random.Generator(np.random.Philox(key=0))
+    path_list = [paths.random_cyclic_path(rng, CTX, with_swaps=i % 2 == 1)
+                 for i in range(500)]
+    digest("paths.stage2", (paths.stage2_work_distribution(path)
+                            for path in path_list))
+    digest("paths.full.p=0.3", (paths.path_work_distribution(
+        path, QubitState(0.3)) for path in path_list))
+
+
+if __name__ == "__main__":
+    main()

@@ -70,7 +70,8 @@ def _stage_bound(p_in, p_out, ref, ctx, regime) -> NoGoBound:
     else:
         eps, p3 = epsilon_iii_tilde(q_star, ctx), 1.0 - q_star
     half = max(eps, 0.0) / 2.0
-    p1 = min(p_in, 1.0 - p_in)
+    # -0.0 is falsy, so a start of -0.0 gets the bound of a start of 0.0.
+    p1 = min(p_in, 1.0 - p_in) or 0.0
     p2 = lemma_w2_probability(half, ctx) if half > 0.0 else 0.0
     pf = abs(p_out - ref) / 2.0
     return NoGoBound(half, p1 * p2 * p3 * pf, p1, p2, p3, pf, regime)

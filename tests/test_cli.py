@@ -232,6 +232,16 @@ def test_bounds_json_and_csv():
     assert lines[1].endswith(",A6")
 
 
+@pytest.mark.parametrize("args", [("classify",), ("bounds",),
+                                  ("bounds", "--format", "csv")])
+def test_negative_zero_start_prints_the_bound_of_zero(args):
+    # min(-0.0, 1.0) is -0.0, which made p1 and the probability print -0.0.
+    common = ("--p-beta", "0.25", "--p-out", "0.3")
+    negative = run(*args, *common, "--p-in", "-0.0")
+    assert negative.exit_code == 0
+    assert negative.stdout == run(*args, *common, "--p-in", "0.0").stdout
+
+
 def test_bounds_achievable_is_error():
     result = run("bounds", "--p-beta", "0.25", "--p-in", "0.3",
                  "--p-out", "0.26")

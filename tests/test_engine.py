@@ -197,10 +197,11 @@ def test_brute_force_frontier_equals_recursion_bit_for_bit():
     # Swaps that never flip, from either pure state: one live branch.
     ([BT(0.0), LT(1.0), BT(0.0), LT(-1.0)] * 3, 1.0, 1),
     ([BT(0.0), LT(1.0), BT(0.0), LT(-1.0)] * 3, 0.0, 1),
-    # Full thermalizations: the unchanged child has zero probability, so
-    # each live branch has two live children (2 * 3**4 leaves unpruned).
+    # Full thermalizations: the unchanged child has zero weight, so each
+    # live branch has two children (2 * 3**4 leaves unpruned), and a swap
+    # that never flips has one.
     ([PT(1.0), LT(0.7)] * 4, 0.0, 16),
-    ([PT(1.0), LT(-0.4), PT(1.0), LT(0.4), BT(0.0)] * 2, 1.0, 32),
+    ([PT(1.0), LT(-0.4), PT(1.0), LT(0.4), BT(0.0)] * 2, 1.0, 16),
     # Thirty branching steps with one live child each: the budget counts
     # branches, not steps.
     ([LT(-LN3)] + [BT(1.0)] * 30 + [LT(LN3)], 0.5, 2),
@@ -595,6 +596,86 @@ def test_engines_form_work_only_where_there_is_mass(monkeypatch, solver,
     dist = _SOLVERS[solver](_EMPTIED_BEFORE_OVERFLOW, QubitState(0.5))
     assert dist.values == (-1e308, 0.0)
     assert math.fsum(dist.probabilities) == pytest.approx(1.0)
+
+
+class _NotOne(float):
+    """A lambda of 1.0 that compares unequal to everything, so the DP takes
+    its general thermalization arm; it counts the comparisons it answers."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        _NotOne.compared += 1
+        return False
+
+    __hash__ = float.__hash__
+
+
+def _general_arm(steps):
+    return [PT(_NotOne(1.0)) if isinstance(s, PT) and s.lam == 1.0 else s
+            for s in steps]
+
+
+_STARTS = (0.0, -0.0, 1.0, 0.3)
+
+
+def _assert_full_thermalization_arm_keeps_bits(steps, ctx=CTX,
+                                               starts=_STARTS):
+    fast, general = Protocol(ctx, steps), Protocol(ctx, _general_arm(steps))
+    for p in starts:
+        before = _NotOne.compared
+        arrays = engine._run_dp(fast.steps, ctx.e0, ctx, p)
+        forced = engine._run_dp(general.steps, ctx.e0, ctx, p)
+        assert _NotOne.compared > before
+        assert [np.asarray(a).tobytes() for a in arrays] == [
+            np.asarray(a).tobytes() for a in forced]
+        initial = QubitState(p)
+        assert (exact_work_distribution(fast, initial)
+                == exact_work_distribution(general, initial))
+        assert (dp_final_occupation(fast, initial)
+                == dp_final_occupation(general, initial))
+
+
+@pytest.mark.parametrize("rounds", [200, 2000])
+def test_full_thermalization_arm_keeps_bits_on_staged_protocols(rounds):
+    proto = build_average_work_protocol(0.1, 0.3, CTX, rounds)
+    _assert_full_thermalization_arm_keeps_bits(proto.steps)
+
+
+def test_full_thermalization_arm_keeps_bits_on_random_protocols():
+    # Every lambda set to 1: the float columns before the first shift, the
+    # lattice window and the merge fallback all take the arm.
+    layouts = set()
+    for seed in range(300):
+        steps = [PT(1.0) if isinstance(s, PT) else s
+                 for s in random_protocol(seed, 40, 2.0, CTX).steps]
+        if any(isinstance(s, PT) for s in steps):
+            layouts.add(engine._shift_lattice(steps) is None)
+            _assert_full_thermalization_arm_keeps_bits(
+                steps, starts=[_STARTS[seed % len(_STARTS)]])
+    assert layouts == {True, False}
+
+
+def test_full_thermalization_arm_keeps_bits_where_g_is_subnormal():
+    # Gaps 705.25 ... 750: the Gibbs population falls from 5.2e-307 through
+    # the subnormals to 0.
+    steps = [LT(705.0 - CTX.e0)] + [LT(0.25), PT(1.0)] * 180 + [
+        LT(CTX.e0 - 750.0)]
+    assert 0.0 < gibbs_population(720.0, CTX) < np.finfo(float).tiny
+    assert gibbs_population(750.0, CTX) == 0.0
+    _assert_full_thermalization_arm_keeps_bits(steps)
+
+
+def test_full_thermalization_arm_keeps_bits_on_stage2_path_laws(monkeypatch):
+    # Every Gibbs tag of a path is PT(1).
+    rng = np.random.Generator(np.random.Philox(key=17))
+    path_list = [paths.random_cyclic_path(rng, CTX, with_swaps=i % 2 == 1)
+                 for i in range(500)]
+    fast = [paths.stage2_work_distribution(path) for path in path_list]
+    monkeypatch.setitem(paths._TAG_STEPS, paths.Tag.GIBBS, PT(_NotOne(1.0)))
+    before = _NotOne.compared
+    assert fast == [paths.stage2_work_distribution(path) for path in path_list]
+    assert _NotOne.compared > before
 
 
 def test_monte_carlo_single_sample():
