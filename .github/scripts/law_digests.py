@@ -72,6 +72,13 @@ def full_thermalizations(seed: int, max_steps: int) -> Protocol:
                           for s in steps])
 
 
+def corpus(ctx: ThermalContext) -> list:
+    """The 500 cyclic paths that the path digests share."""
+    rng = np.random.Generator(np.random.Philox(key=0))
+    return [paths.random_cyclic_path(rng, ctx, with_swaps=i % 2 == 1)
+            for i in range(500)]
+
+
 def main() -> None:
     for beta in ("1", "1e300"):
         digest(f"figure8.beta={beta}",
@@ -131,13 +138,21 @@ def main() -> None:
             QubitState(p_in))
         for p_in, rounds in ((CTX.p_beta, 3000), (0.1, 2000))))
 
-    rng = np.random.Generator(np.random.Philox(key=0))
-    path_list = [paths.random_cyclic_path(rng, CTX, with_swaps=i % 2 == 1)
-                 for i in range(500)]
+    protos = [random_protocol(seed, 8, 2.0, CTX) for seed in range(300)]
+    digest("paths.enumerate_shrink.random_protocol.8", (
+        repr((branches, [paths.shrink(p) for p in branches]))
+        for branches in map(paths.enumerate_paths, protos)))
+
+    path_list = corpus(CTX)
     digest("paths.stage2", (paths.stage2_work_distribution(path)
                             for path in path_list))
     digest("paths.full.p=0.3", (paths.path_work_distribution(
         path, QubitState(0.3)) for path in path_list))
+    digest("paths.area_csv", (paths.area_between(path).to_csv()
+                              for path in path_list))
+    digest("paths.stage2.e0=1e16", (
+        paths.stage2_work_distribution(path)
+        for path in corpus(ThermalContext(beta=1.0, e0=1e16))))
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ bound is vacuous (threshold 0, p_2 = 0, probability 0) but valid.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from coarseops.paths import epsilon_iii, epsilon_iii_tilde
@@ -96,7 +97,7 @@ def lemma_simplecase_bound(
 
 def hoeffding_tail(n: int, p: float) -> float:
     """Upper bound exp(-2 n (1/2 - p)^2) on P(Bin(n, p) >= n/2)."""
-    if n < 1:
+    if not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= p < 0.5:
         raise ValueError(f"p must lie in [0, 1/2), got {p}")
@@ -107,7 +108,7 @@ def exact_binomial_upper_tail(n: int, p: float) -> float:
     """Exact P(Bin(n, p) >= n/2), the quantity hoeffding_tail dominates.
 
     Each term is formed in log space, so no factor overflows for large n."""
-    if n < 0:
+    if not isinstance(n, numbers.Integral) or n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
@@ -127,7 +128,7 @@ def lemma_w2_probability(epsilon2: float, ctx: ThermalContext) -> float:
     """Stage-II concentration probability min{2/3, eps / (4/beta + eps)};
     where 4/beta overflows (beta below about 2.2e-308), in the equal form
     beta*eps / (4 + beta*eps)."""
-    if epsilon2 <= 0.0:
+    if not epsilon2 > 0.0:
         raise ValueError(f"epsilon2 must be positive, got {epsilon2}")
     scale = 4.0 / ctx.beta
     if scale == math.inf:
@@ -227,8 +228,8 @@ def reverse_markov_lower(mean: float, a: float) -> ReverseMarkovBounds:
 
 def cantelli_lower(delta: float, variance: float) -> float:
     """P(X <= EX + delta) >= delta^2 / (Var X + delta^2)."""
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if variance < 0.0:
+    if not variance >= 0.0:
         raise ValueError(f"variance must be nonnegative, got {variance}")
     return delta * delta / (variance + delta * delta)

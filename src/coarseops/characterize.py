@@ -49,7 +49,8 @@ def mixing_coefficient(p_in: float, p_out: float, ctx: ThermalContext) -> float:
 
     Requires p_out in the closed interval between p_in and p_beta.  When
     p_in = p_beta the interval is the single point p_beta and any weight
-    works; returns 1."""
+    works; returns 1.  p_out == p_in above p_beta divides 0.0 by a
+    negative number; that -0.0 is read as 0.0."""
     p_beta = ctx.p_beta
     lo, hi = min(p_in, p_beta), max(p_in, p_beta)
     if not lo <= p_out <= hi:
@@ -58,7 +59,7 @@ def mixing_coefficient(p_in: float, p_out: float, ctx: ThermalContext) -> float:
         )
     if p_in == p_beta:
         return 1.0
-    return (p_out - p_in) / (p_beta - p_in)
+    return (p_out - p_in) / (p_beta - p_in) or 0.0
 
 
 def classify_transition(

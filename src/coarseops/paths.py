@@ -2,15 +2,16 @@
 
 A protocol is a weighted mixture of paths: one path per assignment of each
 thermalization to {identity, fresh Gibbs draw} and each swap to {identity,
-flip}.  A path records the level-shift increments between those choices.
-Increments are stored as one list of length k+1 for k tags: increment i
-happens before tag i, and the final entry is the trailing shift after the
-last tag (zero when there is none), so a shrunk path carries no identity
-tags at all.
+flip}.  A path stores the gaps it visits: for k tags, k+2 gaps, namely the
+start gap, the gap at each tag and the end gap.  Shrinking, stages and
+areas read the stored gaps and re-derive none from the start gap, so a gap
+given exactly (a drawn gap, a swap at 0.0) stays exact however large the
+start gap e0 is.  A shrunk path carries no identity tags at all.
 
 A path's exact work law is the protocol DP of `engine` (atoms closer than
-MERGE_TOL / beta merged, zero-mass atoms dropped) run on its steps: LT(inc)
-for each nonzero increment, PT(1) for a Gibbs tag and BT(1) for a swap tag.
+MERGE_TOL / beta merged, zero-mass atoms dropped) run on its steps:
+LT(b - a) wherever consecutive gaps a, b differ, PT(1) for a Gibbs tag and
+BT(1) for a swap tag.
 
 Stages: I up to and including the first Gibbs tag, II until the last Gibbs
 tag, III after it.  Stage free-energy changes are Gibbs-curve integrals
@@ -53,42 +54,34 @@ class Tag(enum.Enum):
 
 @dataclass(frozen=True)
 class Path:
-    """One resolved branch: k tags with k+1 surrounding increments."""
+    """One resolved branch: k tags and k+2 gaps, the start gap, the gap at
+    each tag and the end gap."""
 
-    increments: tuple[float, ...]
+    gaps: tuple[float, ...]
     tags: tuple[Tag, ...]
     weight: float
     ctx: ThermalContext
-    start_energy: float
 
     def __post_init__(self):
-        if len(self.increments) != len(self.tags) + 1:
+        if len(self.gaps) != len(self.tags) + 2:
             raise ValueError(
-                "a path with k tags needs k+1 increments "
-                f"(got {len(self.increments)} and {len(self.tags)})"
+                "a path with k tags needs k+2 gaps "
+                f"(got {len(self.gaps)} and {len(self.tags)})"
             )
 
-    def tag_energies(self) -> list[float]:
-        """Energy gap at each tag."""
-        out = []
-        e = self.start_energy
-        for inc, _ in zip(self.increments, self.tags):
-            e += inc
-            out.append(e)
-        return out
+    @property
+    def start_energy(self) -> float:
+        return self.gaps[0]
 
     @property
     def end_energy(self) -> float:
-        return self.start_energy + sum(self.increments)
+        return self.gaps[-1]
 
 
 def cyclic_path(energies, tags, ctx: ThermalContext) -> Path:
     """Weight-1 path from the boundary gap back to it, with tag i placed
     at gap energies[i]."""
-    increments = [energies[0] - ctx.e0]
-    increments += [b - a for a, b in zip(energies, energies[1:])]
-    increments.append(ctx.e0 - energies[-1])
-    return Path(tuple(increments), tuple(tags), 1.0, ctx, ctx.e0)
+    return Path((ctx.e0, *energies, ctx.e0), tuple(tags), 1.0, ctx)
 
 
 def random_cyclic_path(rng, ctx: ThermalContext, with_swaps: bool) -> Path:
@@ -118,14 +111,16 @@ def enumerate_paths(proto: Protocol) -> list[Path]:
 
     Each thermalization resolves to IDENTITY (weight 1-lambda) or GIBBS
     (lambda); each swap to IDENTITY (1-gamma) or SWAP (gamma).  Weights of
-    the enumeration sum to 1.  Choices of zero weight are dropped before
-    the product, which must fit engine.ATOM_CAP paths (ResourceError
-    otherwise, the budget every exhaustive structure shares); a path whose
-    weight underflows to 0 is dropped after it."""
-    increments, choices = [0.0], []  # shared by every branch
-    for step in proto.steps:
+    the enumeration sum to 1.  Every branch shares the gaps of the
+    protocol's energy trajectory at its start, at each of these steps and
+    at its end.  Choices of zero weight are dropped before the product,
+    which must fit engine.ATOM_CAP paths (ResourceError otherwise, the
+    budget every exhaustive structure shares); a path whose weight
+    underflows to 0 is dropped after it."""
+    trajectory = proto.energy_trajectory()
+    gaps, choices = [trajectory[0]], []
+    for step, gap in zip(proto.steps, trajectory):
         if isinstance(step, LevelTransformation):
-            increments[-1] += step.delta_e
             continue
         if isinstance(step, PartialThermalization):
             w, taken = step.lam, Tag.GIBBS
@@ -133,53 +128,43 @@ def enumerate_paths(proto: Protocol) -> list[Path]:
             w, taken = step.gamma, Tag.SWAP
         choices.append([c for c in ((1.0 - w, Tag.IDENTITY), (w, taken))
                         if c[0] > 0.0])
-        increments.append(0.0)
+        gaps.append(gap)
+    gaps.append(trajectory[-1])
     _check_budget(math.prod(map(len, choices)), "path enumeration")
-    increments = tuple(increments)
+    gaps = tuple(gaps)
     paths = []
     for picks in itertools.product(*choices):
         weight = math.prod((w for w, _ in picks), start=1.0)
         if weight != 0.0:
             # From a list: a tuple grown from a generator is allocated at a
             # guessed size and shrunk, stranding memory on tuple free lists.
-            paths.append(Path(increments, tuple([t for _, t in picks]),
-                              weight, proto.ctx, proto.ctx.e0))
+            paths.append(Path(gaps, tuple([t for _, t in picks]), weight,
+                              proto.ctx))
     return paths
 
 
 def shrink(path: Path) -> Path:
-    """Canonical form: identity tags removed (their surrounding increments
-    glued), and adjacent swap pairs with zero net increment in between
-    (below MERGE_TOL / beta) cancelled (a swap is an involution).  The
-    conditional work law is unchanged.
+    """Canonical form: identity tags dropped with their gaps, and adjacent
+    swap pairs whose gaps differ by less than MERGE_TOL / beta cancelled
+    (a swap is an involution).  The output gaps are a subsequence of the
+    input gaps, and the conditional work law is unchanged.
 
-    Two linear passes: the first glues every identity, the second cancels
-    swap pairs leftmost first against a stack of the shrunk prefix.  Fusing
-    them would re-associate the sums where an identity follows a pair."""
-    glued, glued_tags = [], []
-    carry = path.increments[0]
-    for tag, inc in zip(path.tags, path.increments[1:]):
+    One pass against a stack of the shrunk prefix, so nested pairs cancel
+    innermost first and a run of swaps cancels leftmost first."""
+    tol = MERGE_TOL / path.ctx.beta
+    gaps, tags = [path.gaps[0]], []
+    for tag, gap in zip(path.tags, path.gaps[1:]):
         if tag is Tag.IDENTITY:
-            carry = inc + carry
-        else:
-            glued.append(carry)
-            glued_tags.append(tag)
-            carry = inc
-    glued.append(carry)
-    increments, tags = [], []
-    carry = glued[0]
-    for tag, inc in zip(glued_tags, glued[1:]):
+            continue
         if (tag is Tag.SWAP and tags and tags[-1] is Tag.SWAP
-                and abs(carry) < MERGE_TOL / path.ctx.beta):
+                and abs(gap - gaps[-1]) < tol):
             tags.pop()
-            carry = inc + (carry + increments.pop())
+            gaps.pop()
         else:
-            increments.append(carry)
+            gaps.append(gap)
             tags.append(tag)
-            carry = inc
-    increments.append(carry)
-    return Path(tuple(increments), tuple(tags), path.weight, path.ctx,
-                path.start_energy)
+    gaps.append(path.gaps[-1])
+    return Path(tuple(gaps), tuple(tags), path.weight, path.ctx)
 
 
 @dataclass(frozen=True)
@@ -208,29 +193,18 @@ def decompose_stages(path: Path) -> StageDecomposition:
     """Split at the first and last Gibbs tags.  Paths with no Gibbs tag are
     all stage I."""
     gibbs_at = [i for i, t in enumerate(path.tags) if t is Tag.GIBBS]
-    energies = path.tag_energies()
-    w, ctx, e0 = path.weight, path.ctx, path.start_energy
+    gaps, tags, w, ctx = path.gaps, path.tags, path.weight, path.ctx
     if not gibbs_at:
-        empty_at = Path((0.0,), (), w, ctx, path.end_energy)
-        return StageDecomposition(path, empty_at, empty_at,
-                                  path.end_energy, path.end_energy)
+        end = path.end_energy
+        empty_at = Path((end, end), (), w, ctx)
+        return StageDecomposition(path, empty_at, empty_at, end, end)
+    # Tag i sits at gaps[i + 1]; each stage ends where its last tag sits.
     first, last = gibbs_at[0], gibbs_at[-1]
-    e_a, e_b = energies[first], energies[last]
-    stage1 = Path(
-        tuple(path.increments[: first + 1]) + (0.0,),
-        tuple(path.tags[: first + 1]),
-        w, ctx, e0,
-    )
-    stage2 = Path(
-        tuple(path.increments[first + 1 : last + 1]) + (0.0,),
-        tuple(path.tags[first + 1 : last + 1]),
-        w, ctx, e_a,
-    )
-    stage3 = Path(
-        tuple(path.increments[last + 1 :]),
-        tuple(path.tags[last + 1 :]),
-        w, ctx, e_b,
-    )
+    e_a, e_b = gaps[first + 1], gaps[last + 1]
+    stage1 = Path((*gaps[: first + 2], e_a), tags[: first + 1], w, ctx)
+    stage2 = Path((*gaps[first + 1 : last + 2], e_b),
+                  tags[first + 1 : last + 1], w, ctx)
+    stage3 = Path(gaps[last + 1 :], tags[last + 1 :], w, ctx)
     return StageDecomposition(stage1, stage2, stage3, e_a, e_b)
 
 
@@ -271,12 +245,9 @@ def area_between(path: Path, initial_level: float = math.nan) -> AreaReport:
     segments = []
     total = 0.0
     level = initial_level
-    e = path.start_energy
-    for i, (inc, tag) in enumerate(
-        itertools.zip_longest(path.increments, path.tags, fillvalue=None)
+    for i, (e_from, e_to, tag) in enumerate(
+        zip(path.gaps, path.gaps[1:], (*path.tags, None))
     ):
-        e_from, e_to = e, e + inc
-        e = e_to
         area = abs(gibbs_integral(e_from, e_to, ctx) - level * (e_to - e_from))
         # Stage II spans the segments after the first Gibbs tag up to and
         # including the one ending at the last Gibbs tag.
@@ -300,14 +271,12 @@ _TAG_STEPS = {
 
 
 def _path_steps(path: Path) -> list:
-    """The path as protocol steps; identity tags and zero increments
-    vanish."""
+    """The path as protocol steps: LT(b - a) wherever consecutive gaps a, b
+    differ, then the step of the tag at b; identity tags vanish."""
     steps = []
-    for inc, tag in itertools.zip_longest(
-        path.increments, path.tags, fillvalue=None
-    ):
-        if inc != 0.0:
-            steps.append(LevelTransformation(inc))
+    for a, b, tag in zip(path.gaps, path.gaps[1:], (*path.tags, None)):
+        if b != a:
+            steps.append(LevelTransformation(b - a))
         if tag in _TAG_STEPS:
             steps.append(_TAG_STEPS[tag])
     return steps
@@ -318,7 +287,7 @@ def path_work_distribution(path: Path, initial: QubitState) -> WorkDistribution:
 
     The occupation starts Bernoulli(initial), redraws from the Gibbs
     population at each Gibbs tag, and flips at each swap tag; every
-    increment charges work -delta_e on the occupied branch."""
+    level shift charges work -delta_e on the occupied branch."""
     works, unocc, occ = _run_dp(
         _path_steps(path), path.start_energy, path.ctx, initial.p_excited
     )

@@ -76,8 +76,14 @@ def test_hoeffding_examples():
         hoeffding_tail(10, 0.5)
     with pytest.raises(ValueError):
         hoeffding_tail(0, 0.3)
+    # NaN and a non-integer n fail the guards instead of returning NaN or
+    # raising TypeError.
+    for n in (math.nan, 2.5, math.inf):
+        with pytest.raises(ValueError, match="^n must be >= 1, got "):
+            hoeffding_tail(n, 0.2)
     for n, p, name in [(5, math.nan, "p"), (5, 1.5, "p"), (5, -0.1, "p"),
-                       (-1, 0.3, "n")]:
+                       (-1, 0.3, "n"), (math.nan, 0.2, "n"), (2.5, 0.2, "n"),
+                       (math.inf, 0.2, "n")]:
         with pytest.raises(ValueError, match=f"^{name} must "):
             exact_binomial_upper_tail(n, p)
 
@@ -117,8 +123,9 @@ def test_w2_probability_examples():
     assert lemma_w2_probability(4.0, CTX) == pytest.approx(0.5)
     assert lemma_w2_probability(1e9, CTX) == pytest.approx(2 / 3)
     assert lemma_w2_probability(1e-12, CTX) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        lemma_w2_probability(0.0, CTX)
+    for eps in (0.0, math.nan):
+        with pytest.raises(ValueError, match="^epsilon2 must be positive"):
+            lemma_w2_probability(eps, CTX)
     # Monotone increasing in epsilon.
     grid = [lemma_w2_probability(e, CTX) for e in np.linspace(0.01, 20, 50)]
     assert all(b >= a for a, b in zip(grid, grid[1:]))
@@ -378,10 +385,12 @@ def test_reverse_markov_never_exceeds_exact():
 def test_cantelli_examples():
     assert cantelli_lower(0.5, 0.0) == 1.0
     assert cantelli_lower(2.0, 4.0) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        cantelli_lower(0.0, 1.0)
-    with pytest.raises(ValueError):
-        cantelli_lower(1.0, -1.0)
+    for delta in (0.0, math.nan):
+        with pytest.raises(ValueError, match="^delta must be positive"):
+            cantelli_lower(delta, 1.0)
+    for variance in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="^variance must be nonnegative"):
+            cantelli_lower(1.0, variance)
 
 
 def test_cantelli_never_exceeds_exact():
@@ -404,11 +413,12 @@ def test_stage1_loss_under_designated_occupation():
         inc = float(rng.uniform(-3.0, 3.0))
         if inc == 0.0:
             continue
-        path = Path((inc, 0.0), (Tag.GIBBS,), 1.0, CTX, CTX.e0)
+        e_a = CTX.e0 + inc
+        path = Path((CTX.e0, e_a, e_a), (Tag.GIBBS,), 1.0, CTX)
         occupied = inc > 0.0  # raising costs iff occupied; lowering pays iff not
         dist = path_work_distribution(path, QubitState(1.0 if occupied else 0.0))
         (w,) = dist.values
-        df1 = gibbs_integral(CTX.e0, CTX.e0 + inc, CTX)
+        df1 = gibbs_integral(CTX.e0, e_a, CTX)
         assert w <= -df1 + 1e-12
 
 
@@ -417,7 +427,7 @@ def test_stage3_loss_matches_margin_exactly():
     # dF_III + epsilon_iii(q_out).
     for q_out in np.linspace(0.2501, 0.5, 25):
         e_b = energy_of_population(float(q_out), CTX)
-        path = Path((CTX.e0 - e_b,), (), 1.0, CTX, e_b)
+        path = Path((e_b, CTX.e0), (), 1.0, CTX)
         dist = path_work_distribution(path, QubitState(1.0))
         (w,) = dist.values
         df3 = gibbs_integral(e_b, CTX.e0, CTX)
@@ -440,8 +450,7 @@ def _random_stage2_path(seed: int) -> Path:
     if tags[-1] is not Tag.GIBBS:
         energies.append(float(rng.uniform(-2.0, 2.0)))
         tags.append(Tag.GIBBS)
-    increments = [0.0] + [b - a for a, b in zip(energies, energies[1:])] + [0.0]
-    return Path(tuple(increments), tuple(tags), 1.0, CTX, energies[0])
+    return Path((energies[0], *energies, energies[-1]), tuple(tags), 1.0, CTX)
 
 
 def test_w2_concentration_holds_on_random_stage2_paths():

@@ -206,6 +206,21 @@ def test_classify_writes_witness(tmp_path):
     assert [s["type"] for s in doc["steps"]] == ["LT", "BT", "LT", "PT"]
 
 
+@pytest.mark.parametrize("p", ["0.5", "1.0"])
+def test_staying_above_p_beta_mixes_with_weight_zero(tmp_path, p):
+    # p_out == p_in above p_beta divides 0.0 by p_beta - p_in < 0; the
+    # verdict and the witness printed lambda = -0.0.
+    out = tmp_path / "witness.json"
+    result = run("classify", "--p-beta", "0.25", "--p-in", p, "--p-out", p,
+                 "--out", str(out))
+    assert result.exit_code == 0, result.output
+    assert "-0.0" not in result.stdout + out.read_text()
+    (step,) = from_json_dict(json.loads(out.read_text())).steps
+    assert math.copysign(1.0, step.lam) == 1.0
+    if p == "0.5":
+        assert '"lambda": 0.0' in result.stdout
+
+
 def test_classify_invalid_probability():
     result = run("classify", "--p-beta", "0.25", "--p-in", "1.5",
                  "--p-out", "0.3")
@@ -446,6 +461,18 @@ def test_verify_passes_at_large_beta():
     result = run("verify", "--cases", "2", "--beta", "400")
     assert result.exit_code == 0, result.output
     assert "(counterexample_excess=0.240031)" in result.stdout
+
+
+@pytest.mark.parametrize("e0, cases, check", [
+    ("1e16", "100", "stage2_concentration"),
+    ("1e308", "20", "variance_area_toward_zero"),
+])
+def test_path_checks_pass_at_large_e0(e0, cases, check):
+    # Each path gap is stored as drawn, so no gap carries the rounding of
+    # e0: a swap meant for zero gap once landed at -0.94 at e0 = 1e16.
+    # engine_equivalence still fails here (see README).
+    result = run("verify", "--cases", cases, "--e0", e0)
+    assert f"\nPASS {check} (" in result.stdout, result.output
 
 
 def test_verify_margins_read_the_same_at_large_beta():

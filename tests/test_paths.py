@@ -52,9 +52,8 @@ LN3 = math.log(3)
 I, G, S = Tag.IDENTITY, Tag.GIBBS, Tag.SWAP
 
 
-def make_path(increments, tags, start=None, weight=1.0, ctx=CTX):
-    start = ctx.e0 if start is None else start
-    return Path(tuple(increments), tuple(tags), weight, ctx, start)
+def make_path(gaps, tags, weight=1.0, ctx=CTX):
+    return Path(tuple(gaps), tuple(tags), weight, ctx)
 
 
 def random_shrunk_path(seed: int, with_swaps: bool):
@@ -62,9 +61,14 @@ def random_shrunk_path(seed: int, with_swaps: bool):
     return random_cyclic_path(rng, CTX, with_swaps)
 
 
-def test_path_needs_one_more_increment_than_tags():
-    with pytest.raises(ValueError, match=r"k\+1 increments \(got 1 and 1\)"):
-        make_path([0.0], [G])
+def test_path_needs_two_more_gaps_than_tags():
+    with pytest.raises(ValueError, match=r"k\+2 gaps \(got 2 and 1\)"):
+        make_path([0.0, 0.0], [G])
+
+
+def is_subsequence(short, long):
+    it = iter(long)
+    return all(any(x == y for y in it) for x in short)
 
 
 def test_enumerate_two_thermalizations():
@@ -137,21 +141,21 @@ def test_enumerate_mixture_reproduces_work_law():
 
 
 def test_shrink_removes_identity():
-    path = make_path([0.5, 0.7, 0.0], [I, G])
+    path = make_path([LN3, 1.5, 2.2, 2.2], [I, G])
     out = shrink(path)
     assert out.tags == (G,)
-    assert out.increments == pytest.approx((1.2, 0.0))
+    assert out.gaps == (LN3, 2.2, 2.2)
 
 
 def test_shrink_cancels_swap_pairs():
-    path = make_path([-LN3, 0.0, LN3], [S, S])
+    path = make_path([LN3, 0.0, 0.0, LN3], [S, S])
     out = shrink(path)
     assert out.tags == ()
-    assert out.increments == pytest.approx((0.0,))
+    assert out.gaps == (LN3, LN3)
 
 
 def test_shrink_empty_path():
-    path = make_path([0.0], [])
+    path = make_path([LN3, LN3], [])
     assert shrink(path) == path
 
 
@@ -181,12 +185,12 @@ def reference_enumerate_paths(proto):
     for picks in itertools.product((False, True), repeat=len(branch_steps)):
         weight = 1.0
         tags = []
-        increments = []
-        pending = 0.0
+        gap = proto.ctx.e0
+        gaps = [gap]
         it = iter(picks)
         for step in proto.steps:
             if isinstance(step, LevelTransformation):
-                pending += step.delta_e
+                gap = gap + step.delta_e
                 continue
             taken = next(it)
             if isinstance(step, PartialThermalization):
@@ -195,26 +199,23 @@ def reference_enumerate_paths(proto):
             else:
                 weight *= step.gamma if taken else (1.0 - step.gamma)
                 tag = Tag.SWAP if taken else Tag.IDENTITY
-            increments.append(pending)
-            pending = 0.0
+            gaps.append(gap)
             tags.append(tag)
-        increments.append(pending)
+        gaps.append(gap)
         if weight == 0.0:
             continue
-        paths.append(
-            Path(tuple(increments), tuple(tags), weight, proto.ctx, proto.ctx.e0)
-        )
+        paths.append(Path(tuple(gaps), tuple(tags), weight, proto.ctx))
     return paths
 
 
 def reference_shrink(path):
-    increments = list(path.increments)
+    # gaps[i + 1] is the gap at tags[i].
+    gaps = list(path.gaps)
     tags = list(path.tags)
     i = 0
     while i < len(tags):
         if tags[i] is Tag.IDENTITY:
-            increments[i + 1] += increments[i]
-            del increments[i]
+            del gaps[i + 1]
             del tags[i]
         else:
             i += 1
@@ -225,37 +226,37 @@ def reference_shrink(path):
             if (
                 tags[i] is Tag.SWAP
                 and tags[i + 1] is Tag.SWAP
-                and abs(increments[i + 1]) < MERGE_TOL
+                and abs(gaps[i + 2] - gaps[i + 1]) < MERGE_TOL / path.ctx.beta
             ):
-                increments[i + 2] += increments[i + 1] + increments[i]
-                del increments[i : i + 2]
+                del gaps[i + 1 : i + 3]
                 del tags[i : i + 2]
                 changed = True
                 break
-    return Path(tuple(increments), tuple(tags), path.weight, path.ctx,
-                path.start_energy)
+    return Path(tuple(gaps), tuple(tags), path.weight, path.ctx)
 
 
 def adversarial_path(seed: int):
-    """Mostly swaps and identities, separated by increments of 0, below
-    MERGE_TOL, exactly MERGE_TOL or of order 1: swap runs, nested pairs and
-    identities after cancelled pairs all occur."""
+    """Mostly swaps and identities at gaps that repeat the previous one, or
+    move from it by less than MERGE_TOL, by MERGE_TOL up to rounding or by
+    order 1: swap runs, nested pairs and identities after cancelled pairs
+    all occur."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    increments = [float(rng.uniform(-1.0, 1.0))]
+    gaps = [float(rng.uniform(-1.0, 1.0))]
     tags = []
     for _ in range(int(rng.integers(0, 14))):
         r = rng.random()
         tags.append(S if r < 0.55 else I if r < 0.85 else G)
         r = rng.random()
         if r < 0.35:
-            increments.append(0.0)
+            gaps.append(gaps[-1])
         elif r < 0.6:
-            increments.append(float(rng.uniform(-MERGE_TOL, MERGE_TOL)))
+            gaps.append(gaps[-1] + float(rng.uniform(-MERGE_TOL, MERGE_TOL)))
         elif r < 0.7:
-            increments.append(float(rng.choice([-1.0, 1.0])) * MERGE_TOL)
+            gaps.append(gaps[-1] + float(rng.choice([-1.0, 1.0])) * MERGE_TOL)
         else:
-            increments.append(float(rng.uniform(-2.0, 2.0)))
-    return make_path(increments, tags, weight=float(rng.random()))
+            gaps.append(gaps[-1] + float(rng.uniform(-2.0, 2.0)))
+    gaps.append(gaps[-1] + float(rng.uniform(-1.0, 1.0)))
+    return make_path(gaps, tags, weight=float(rng.random()))
 
 
 @pytest.mark.parametrize("max_steps, seeds", [(6, 400), (8, 400), (12, 60)])
@@ -275,36 +276,60 @@ def test_shrink_matches_the_reference_on_adversarial_tags():
         path = adversarial_path(seed)
         out = shrink(path)
         assert repr(out) == repr(reference_shrink(path)), seed
+        assert is_subsequence(out.gaps, path.gaps), seed
         nested += path.tags.count(S) - out.tags.count(S) >= 4
     assert nested > 0
+    # A pair exactly MERGE_TOL apart stays; one ulp closer, it cancels.
+    for far, kept in ((MERGE_TOL, (S, S)),
+                      (math.nextafter(MERGE_TOL, 0.0), ())):
+        path = make_path([LN3, 0.0, far, LN3], [S, S])
+        assert shrink(path).tags == kept
+        assert repr(shrink(path)) == repr(reference_shrink(path))
 
 
 def test_shrink_cancels_nested_pairs_and_glues_identities_after_them():
-    # The inner pair (gap 0) cancels first and leaves the outer pair a gap
-    # of 1 + 0 - 1 = 0; the identity's increment was glued beforehand.
-    path = make_path([0.5, 1.0, 0.0, -1.0, 0.25, 0.125, 0.0],
+    # The inner pair (both at gap 1.5) cancels first and leaves the outer
+    # pair (both at gap 0.5) adjacent, which cancels too; the identity's gap
+    # is dropped.  No gap is formed: the output gaps are input gaps.
+    path = make_path([LN3, 0.5, 1.5, 1.5, 0.5, 0.75, 0.875, 0.875],
                      [S, S, S, S, I, G])
     out = shrink(path)
     assert out.tags == (G,)
-    assert out.increments == ((0.125 + 0.25) + (0.0 + 0.5), 0.0)
+    assert out.gaps == (LN3, 0.875, 0.875)
+    assert is_subsequence(out.gaps, path.gaps)
     assert repr(out) == repr(reference_shrink(path))
 
 
 def test_decompose_stages_example():
-    path = make_path([0.4, -0.2, 0.3], [G, G])
+    path = make_path([LN3, 1.5, 1.3, 1.6], [G, G])
     d = decompose_stages(path)
     assert d.stage1.tags == (G,)
-    assert d.stage1.increments == pytest.approx((0.4, 0.0))
+    assert d.stage1.gaps == (LN3, 1.5, 1.5)
     assert d.stage2.tags == (G,)
-    assert d.stage2.increments == pytest.approx((-0.2, 0.0))
+    assert d.stage2.gaps == (1.5, 1.3, 1.3)
     assert d.stage3.tags == ()
-    assert d.stage3.increments == pytest.approx((0.3,))
-    assert d.e_a == pytest.approx(CTX.e0 + 0.4)
-    assert d.e_b == pytest.approx(CTX.e0 + 0.2)
+    assert d.stage3.gaps == (1.3, 1.6)
+    assert (d.e_a, d.e_b) == (1.5, 1.3)
+
+
+@pytest.mark.parametrize("e0", [LN3, 1e16, 1e308])
+def test_large_start_gap_leaves_the_drawn_gaps_alone(e0):
+    # The corpus stores each gap as drawn: the stage-II start is the first
+    # draw and every swap sits at gap 0.0, however large the start gap.
+    ctx = ThermalContext(beta=1.0, e0=e0)
+    for seed in range(200):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        path = random_cyclic_path(rng, ctx, with_swaps=True)
+        twin = np.random.Generator(np.random.Philox(key=seed))
+        twin.integers(1, 6)
+        first = float(twin.uniform(-2.0, 2.0)) / ctx.beta
+        assert decompose_stages(path).e_a == first, seed
+        assert all(gap == 0.0 for gap, tag in zip(path.gaps[1:], path.tags)
+                   if tag is S), seed
 
 
 def test_decompose_no_thermalization():
-    path = make_path([0.5, -0.5], [S])  # swap path (not at zero; structural only)
+    path = make_path([LN3, 2.0, LN3], [S])  # swap path (not at zero; structural only)
     d = decompose_stages(path)
     assert d.stage1 == path
     assert d.stage2.tags == ()
@@ -322,7 +347,7 @@ def test_stage_free_energy_closure():
 
 def test_area_example_segment():
     # Level 1/2 from gap 0 to gap ln 3, entered by a Gibbs draw at 0.
-    path = make_path([-LN3, LN3, 0.0], [G, G], start=LN3)
+    path = make_path([LN3, 0.0, LN3, LN3], [G, G])
     report = area_between(path)
     seg = report.segments[1]
     assert seg.level == pytest.approx(0.5)
@@ -331,13 +356,13 @@ def test_area_example_segment():
 
 
 def test_area_zero_width_segment():
-    path = make_path([0.0, 0.0, 0.0], [G, G], start=0.0)
+    path = make_path([0.0, 0.0, 0.0, 0.0], [G, G])
     report = area_between(path)
     assert report.total == 0.0
 
 
 def test_area_csv_dump():
-    path = make_path([0.4, -0.4], [G])
+    path = make_path([LN3, 1.5, LN3], [G])
     csv = area_between(path, initial_level=0.2).to_csv()
     lines = csv.strip().split("\n")
     assert lines[0] == "segment,e_from,e_to,level_q,tag,area"
