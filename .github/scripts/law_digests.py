@@ -10,7 +10,9 @@ byte-identical; a changed line names the output that moved.  Each line is
 `<name> <sha256>`.  CLI outputs run in-process, as a user runs them, and are
 hashed with their exit code, stdout and stderr; library laws are hashed by
 repr, which tells -0.0 from 0.0.  It gates nothing, and takes about 20 s
-on one core.
+on one core.  The Monte Carlo digests must not depend on the number of
+CPUs the process may use, so a run under `taskset -c 0` prints the same
+lines.
 """
 
 from __future__ import annotations
@@ -107,6 +109,11 @@ def main() -> None:
     digest("simulate.exact", [run_cli(*staged)])
     digest("simulate.samples", [run_cli(*staged, "--samples", 100_000,
                                         "--seed", 7)])
+    # The first ends in a chunk that is not a whole number of Philox
+    # blocks; the second has three full chunks.
+    for samples in (69_537, 200_003):
+        digest(f"simulate.samples={samples}", [run_cli(
+            *staged, "--samples", samples, "--seed", 7)])
 
     for steps in (8, 12, 40):
         protos = [random_protocol(seed, steps, 2.0, CTX) for seed in range(300)]
@@ -132,6 +139,11 @@ def main() -> None:
         engine.monte_carlo(random_protocol(seed, 12, 2.0, CTX), start(seed),
                            10_000, seed)
         for seed in range(40)))
+    # A full chunk each, which runs as one slice per CPU.
+    digest("monte_carlo.random_protocol.12.samples=70000", (
+        engine.monte_carlo(random_protocol(seed, 12, 2.0, CTX), start(seed),
+                           70_000, seed)
+        for seed in range(20)))
     digest("staged", (
         engine.exact_work_distribution(
             build_average_work_protocol(p_in, 0.3, CTX, rounds),

@@ -40,11 +40,11 @@ class NoGoBound:
     regime: str
 
     def __post_init__(self):
-        for name in ("p_1", "p_2", "p_3", "p_f"):
+        for name in ("probability_lower_bound", "p_1", "p_2", "p_3", "p_f"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.work_threshold < 0.0:
+        if not self.work_threshold >= 0.0:
             raise ValueError("work threshold must be nonnegative")
 
     def to_json_dict(self) -> dict:

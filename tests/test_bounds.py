@@ -341,11 +341,23 @@ def test_no_go_bound_rejects_component_outside_unit_interval(name, value):
         NoGoBound(0.1, 0.05, regime="A6", **components)
 
 
+@pytest.mark.parametrize("value", [math.nan, -0.1, 1.1])
+def test_no_go_bound_rejects_probability_outside_unit_interval(value):
+    with pytest.raises(ValueError, match="^probability_lower_bound must lie "
+                                         "in \\[0, 1\\]"):
+        NoGoBound(0.1, value, regime="A6", **_COMPONENTS)
+
+
 def test_no_go_bound_rejects_negative_threshold():
     with pytest.raises(ValueError, match="threshold must be nonnegative"):
         NoGoBound(-1e-12, 0.05, regime="A6", **_COMPONENTS)
     # The ends of every range are admitted.
     NoGoBound(0.0, 0.0, 0.0, 0.0, 1.0, 1.0, "A6")
+
+
+def test_no_go_bound_rejects_nan_threshold():
+    with pytest.raises(ValueError, match="threshold must be nonnegative"):
+        NoGoBound(math.nan, 0.0, 0.0, 0.0, 0.0, 0.0, "A6")
 
 
 def test_reverse_markov_examples():

@@ -5,12 +5,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from coarseops import bounds, thermo, verify
+from coarseops import bounds, engine, thermo, verify
 from coarseops.cli import main
 from coarseops.paths import epsilon_iii
 from coarseops.protocol import (
@@ -635,15 +636,25 @@ def _write_protocol(tmp_path, ctx, steps):
 
 
 @pytest.mark.parametrize("extra", [(), ("--samples", "2000"),
+                                   ("--samples", "100000"),
                                    ("--format", "json")])
-def test_simulate_work_past_the_float_range_is_one_line(tmp_path, extra):
+def test_simulate_work_past_the_float_range_is_one_line(monkeypatch, tmp_path,
+                                                       extra):
     # beta = 2**-1020 and shifts of 4/beta: beta*W is tame, but a branch
     # that pays four shifts of -4/beta has a work beyond DBL_MAX, which
-    # numpy alone turns into a warning and a -inf atom.
+    # numpy alone turns into a warning and a -inf atom.  At 100,000
+    # samples the sampler's first chunk runs as two slices, one on a
+    # helper thread, which must raise under the CLI's numpy error state.
+    # Warnings are recorded, not raised: a helper's warning would be
+    # printed to a user, but as an error it would lose to the caller's.
+    monkeypatch.setattr(engine, "_mc_threads", lambda: 2)
     beta = 2.0**-1020
     rounds = [LT(-4 / beta), PT(1.0), LT(4 / beta), PT(1.0)] * 4
     f = _write_protocol(tmp_path, ThermalContext(beta, 1 / beta), rounds)
-    result = run("simulate", "--protocol", f, "--p-in", "0.5", *extra)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run("simulate", "--protocol", f, "--p-in", "0.5", *extra)
+    assert [str(w.message) for w in caught] == []
     assert result.exit_code == 2
     assert result.stdout == ""
     [line] = result.stderr.splitlines()

@@ -7,6 +7,8 @@ import gc
 import itertools
 import math
 import pathlib
+import sys
+import threading
 import tracemalloc
 
 from unittest import mock
@@ -836,6 +838,85 @@ def test_monte_carlo_matches_reference_at_extreme_weights(lam, gamma, p_in):
     _assert_matches_reference(proto, QubitState(p_in), 4096, 1)
 
 
+# Every step kind: shifts, full and partial thermalizations, swaps.
+_ALL_KINDS = Protocol(CTX, [LT(-LN3), BT(0.3), PT(0.6), LT(0.5), PT(1.0),
+                            BT(0.7), LT(-0.25), PT(0.2), LT(LN3 - 0.25)])
+
+
+@pytest.mark.parametrize("n_samples", [131_072, 69_537, 200_003])
+def test_monte_carlo_bits_do_not_depend_on_the_thread_count(monkeypatch,
+                                                            n_samples):
+    # 69,537 and 200,003 end in a chunk that is not a whole number of
+    # Philox blocks (4,001 and 3,395 samples), which runs as one slice.
+    # The slices may outnumber the CPUs, and threads switch as often as
+    # the interpreter allows.
+    want = _mc_bits(reference_monte_carlo(_ALL_KINDS, QubitState(0.3),
+                                          n_samples, 5))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 3, 4):
+            monkeypatch.setattr(engine, "_mc_threads", lambda: threads)
+            assert len(engine._slice_starts(engine._MC_CHUNK)) == threads + 1
+            got = monte_carlo(_ALL_KINDS, QubitState(0.3), n_samples, 5)
+            assert _mc_bits(got) == want, threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_monte_carlo_slices_share_one_chunk_of_memory(monkeypatch):
+    # The slices of a chunk read and write views of its one work array, so
+    # two slices hold between them what one slice holds alone.  A first
+    # call outside the measurement leaves out one-time allocations.
+    proto = build_average_work_protocol(0.1, 0.3, CTX, 200)
+    monte_carlo(proto, QubitState(0.1), engine._MC_CHUNK, seed=0)
+    peaks = {}
+    for threads in (1, 2):
+        monkeypatch.setattr(engine, "_mc_threads", lambda: threads)
+        tracemalloc.start()
+        try:
+            monte_carlo(proto, QubitState(0.1), engine._MC_CHUNK, seed=0)
+            peaks[threads] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= 1.1 * peaks[1], peaks
+
+
+def test_monte_carlo_helpers_run_under_the_callers_error_state(monkeypatch):
+    states = []
+    sample_slice = engine._sample_slice
+
+    def recording(*args):
+        states.append(np.geterr())
+        return sample_slice(*args)
+
+    monkeypatch.setattr(engine, "_mc_threads", lambda: 3)
+    monkeypatch.setattr(engine, "_sample_slice", recording)
+    with np.errstate(over="raise", under="warn", invalid="ignore"):
+        want = np.geterr()
+        monte_carlo(_ALL_KINDS, QubitState(0.3), engine._MC_CHUNK, 1)
+    assert states == [want] * 3
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_monte_carlo_joins_every_helper_when_a_slice_raises(monkeypatch,
+                                                            failing):
+    sample_slice = engine._sample_slice
+
+    def failing_slice(*args):
+        in_caller = threading.current_thread() is threading.main_thread()
+        if in_caller == (failing == "caller"):
+            raise FloatingPointError(f"{failing} slice")
+        return sample_slice(*args)
+
+    monkeypatch.setattr(engine, "_mc_threads", lambda: 3)
+    monkeypatch.setattr(engine, "_sample_slice", failing_slice)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match=f"^{failing} slice$"):
+        monte_carlo(_ALL_KINDS, QubitState(0.3), engine._MC_CHUNK, 1)
+    assert threading.active_count() == before
+
+
 def test_philox_uniform_is_the_top_53_bits_of_a_raw_word():
     # The sampler branches on raw words because numpy forms a Philox
     # uniform as (x >> 11) * 2**-53; if that conversion changes, the
@@ -866,7 +947,8 @@ def test_word_threshold_agrees_with_the_float_comparison():
             rng.integers(0, 2**64, size=256, dtype=np.uint64, endpoint=False),
         ])
         u = (words >> np.uint64(11)) * 2.0**-53
-        assert (engine._uniform_below(words, t) == (u < t)).all(), t
+        below = engine._uniform_below(words, engine._word_limit(t))
+        assert (below == (u < t)).all(), t
 
 
 def test_csv_export():
