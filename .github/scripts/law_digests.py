@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from coarseops import cli, engine, paths
+from coarseops import characterize, cli, engine, paths
 from coarseops.protocol import (
     PartialThermalization,
     Protocol,
@@ -81,6 +81,27 @@ def corpus(ctx: ThermalContext) -> list:
             for i in range(500)]
 
 
+def classify_cells(seed: int):
+    """(verdict, witness, final population, exact law) of every cell of the
+    192 x 192 grid that perfbench's classify-grid workload runs at `seed`:
+    191 p_in points and 1.0 against 192 p_out points, each shifted inside
+    its cell by the seed's offsets."""
+    offset_in, offset_out = 0.25 + 0.5 * np.random.default_rng(seed).random(2)
+    n = 192
+    p_ins = [(k + offset_in) / n for k in range(n - 1)] + [1.0]
+    p_outs = [(k + offset_out) / n for k in range(n)]
+    for p_in in p_ins:
+        for p_out in p_outs:
+            verdict = characterize.classify_transition(p_in, p_out, CTX)
+            if verdict.verdict == "forbidden":
+                yield verdict, None, None, None
+                continue
+            proto = characterize.synthesize_protocol(verdict, p_in, p_out, CTX)
+            yield (verdict, proto,
+                   engine.final_state(proto, QubitState(p_in)).p_excited,
+                   engine.exact_work_distribution(proto, QubitState(p_in)))
+
+
 def main() -> None:
     for beta in ("1", "1e300"):
         digest(f"figure8.beta={beta}",
@@ -98,6 +119,10 @@ def main() -> None:
         run_cli(*command, *common, "--p-in", "-0.0", "--p-out", 0.3)
         for command in (("classify",), ("bounds",),
                         ("bounds", "--format", "csv"))])
+
+    # Hashed by repr, so a law holding numpy floats would change the line.
+    for seed in (0, 5):
+        digest(f"classify_grid.witnesses.seed={seed}", classify_cells(seed))
 
     for seed in (0, 1, 7):
         for fmt in ("text", "json"):

@@ -29,7 +29,7 @@ from coarseops.paths import epsilon_iii, epsilon_iii_tilde
 from coarseops.thermo import ThermalContext, energy_of_population
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoGoBound:
     work_threshold: float
     probability_lower_bound: float
@@ -203,7 +203,7 @@ def theorem_same_side(
     return _stage_bound(p_in, p_out, p_in, ctx, "A8")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReverseMarkovBounds:
     above: float  # lower bound on P(Y > a)
     below: float  # lower bound on P(Y < a)

@@ -26,7 +26,7 @@ from coarseops.protocol import (
 from coarseops.thermo import ThermalContext
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitionClassification:
     """Tagged verdict: exactly one of lam (mixing), pure_excited, or bound
     (forbidden) is populated."""

@@ -4,8 +4,8 @@ The exact law of the work random variable is computed by one dynamic
 program over (occupation bit, accumulated work), `_run_dp`, which serves
 protocols and resolved paths alike.  Until the first level shift the
 support is one atom at work 0, held as plain floats, and
-`WorkDistribution.from_atoms` returns a law of at most one atom without
-sorting or merging.  A full thermalization (lam = 1) forgets the
+`WorkDistribution.from_atoms` returns that one atom without an array, a
+sort or a merge.  A full thermalization (lam = 1) forgets the
 occupation: each occupation column becomes its Gibbs weight times the
 total.  While the protocol's lattice of signed shift counts, one axis per
 distinct |delta_e|, has at most 32 cells per level shift and at most
@@ -94,7 +94,7 @@ def _merge_atoms(values: np.ndarray, tol: float, *mass_columns: np.ndarray):
             *(np.bincount(group, weights=c) for c in columns))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkDistribution:
     """Finite probability mass over work values, sorted ascending."""
 
@@ -105,16 +105,16 @@ class WorkDistribution:
     def from_atoms(values, probs, ctx) -> "WorkDistribution":
         """The law of atoms given as parallel arrays (or one float each):
         atoms without positive mass are dropped and the rest merged by
-        _merge_atoms at MERGE_TOL / ctx.beta.  A single atom, the whole law
-        of a shift-free protocol, needs no sort or merge and is kept as it
-        is when its mass is positive."""
+        _merge_atoms at MERGE_TOL / ctx.beta.  One float each, the whole law
+        of a shift-free protocol as _run_dp returns it, needs no array, sort
+        or merge: the atom is kept when its mass is positive.  The law holds
+        Python floats, also where numpy floats are given."""
+        if isinstance(values, float):
+            if not probs > 0:
+                return WorkDistribution((), ())
+            return WorkDistribution((float(values),), (float(probs),))
         values = np.asarray(values, dtype=float)
         probs = np.asarray(probs, dtype=float)
-        if values.size <= 1:
-            # At most one atom: nothing to sort or merge.
-            if values.size == 0 or not probs.item() > 0:
-                return WorkDistribution((), ())
-            return WorkDistribution((values.item(),), (probs.item(),))
         keep = probs > 0
         values, probs = _merge_atoms(values[keep], MERGE_TOL / ctx.beta,
                                      probs[keep])
@@ -391,7 +391,7 @@ _MC_CHUNK = 65536
 _MC_SLICE_MIN = 16384
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonteCarloResult:
     distribution: WorkDistribution
     final_p_excited: float

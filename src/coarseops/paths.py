@@ -52,7 +52,7 @@ class Tag(enum.Enum):
     SWAP = "S"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """One resolved branch: k tags and k+2 gaps, the start gap, the gap at
     each tag and the end gap."""
@@ -167,7 +167,7 @@ def shrink(path: Path) -> Path:
     return Path(tuple(gaps), tuple(tags), path.weight, path.ctx)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageDecomposition:
     stage1: Path
     stage2: Path
@@ -208,7 +208,7 @@ def decompose_stages(path: Path) -> StageDecomposition:
     return StageDecomposition(stage1, stage2, stage3, e_a, e_b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     index: int
     e_from: float
@@ -218,7 +218,7 @@ class Segment:
     area: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AreaReport:
     total: float
     segments: tuple[Segment, ...]

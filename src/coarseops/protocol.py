@@ -33,17 +33,18 @@ from coarseops.thermo import (
 GAP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialThermalization:
     lam: float
 
     def __post_init__(self):
-        _require_finite(self.lam, "lambda")
+        # As in QubitState: the finiteness check runs only on a failed range.
         if not 0.0 <= self.lam <= 1.0:
+            _require_finite(self.lam, "lambda")
             raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelTransformation:
     delta_e: float
 
@@ -51,7 +52,7 @@ class LevelTransformation:
         _require_finite(self.delta_e, "delta_e")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BistochasticTransformation:
     gamma: float
 
@@ -66,13 +67,13 @@ ProtocolStep = Union[
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     step_index: int
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     violations: tuple[Violation, ...] = ()
 
@@ -81,7 +82,7 @@ class ValidationReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Protocol:
     ctx: ThermalContext
     steps: tuple[ProtocolStep, ...]

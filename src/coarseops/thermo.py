@@ -31,7 +31,9 @@ def _require_finite(x: float, name: str) -> float:
 @dataclass(frozen=True)
 class ThermalContext:
     """Fixed environment of every computation: inverse temperature and the
-    boundary energy gap the excited level must return to."""
+    boundary energy gap the excited level must return to.  Unlike the other
+    value types it has no slots: the cached property p_beta stores its value
+    in the instance __dict__."""
 
     beta: float
     e0: float
@@ -54,7 +56,7 @@ class ThermalContext:
         return gibbs_population(self.e0, self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QubitState:
     """Energy-diagonal two-level state, represented by its excited-level
     population.  The population vector is (1 - p, p); there is no coherence."""
@@ -62,8 +64,10 @@ class QubitState:
     p_excited: float
 
     def __post_init__(self):
-        _require_finite(self.p_excited, "p_excited")
+        # NaN and +-inf fail the range test too, so the finiteness check,
+        # and its message, is needed only when the range test fails.
         if not 0.0 <= self.p_excited <= 1.0:
+            _require_finite(self.p_excited, "p_excited")
             raise ValueError(f"population must lie in [0, 1], got {self.p_excited}")
 
 

@@ -4,6 +4,7 @@ each checked against an independent exact oracle where one exists."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -331,21 +332,40 @@ def test_bound_json_shape():
 
 
 _COMPONENTS = {"p_1": 0.5, "p_2": 0.25, "p_3": 0.75, "p_f": 1.0}
+# Each value outside [0, 1] with the text its message prints.
+_OUTSIDE = [(math.nan, "nan"), (-0.1, "-0.1"), (1.1, "1.1"),
+            (math.inf, "inf"), (-math.inf, "-inf"), (1.5, "1.5")]
+_OUTSIDE_IDS = [text for _, text in _OUTSIDE]
 
 
 @pytest.mark.parametrize("name", sorted(_COMPONENTS))
-@pytest.mark.parametrize("value", [math.nan, -0.1, 1.1])
-def test_no_go_bound_rejects_component_outside_unit_interval(name, value):
+@pytest.mark.parametrize("value, text", _OUTSIDE, ids=_OUTSIDE_IDS)
+def test_no_go_bound_rejects_component_outside_unit_interval(name, value,
+                                                             text):
     components = {**_COMPONENTS, name: value}
-    with pytest.raises(ValueError, match=f"^{name} must lie in \\[0, 1\\]"):
+    message = f"{name} must lie in [0, 1], got {text}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         NoGoBound(0.1, 0.05, regime="A6", **components)
 
 
-@pytest.mark.parametrize("value", [math.nan, -0.1, 1.1])
-def test_no_go_bound_rejects_probability_outside_unit_interval(value):
-    with pytest.raises(ValueError, match="^probability_lower_bound must lie "
-                                         "in \\[0, 1\\]"):
+@pytest.mark.parametrize("value, text", _OUTSIDE, ids=_OUTSIDE_IDS)
+def test_no_go_bound_rejects_probability_outside_unit_interval(value, text):
+    message = f"probability_lower_bound must lie in [0, 1], got {text}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         NoGoBound(0.1, value, regime="A6", **_COMPONENTS)
+
+
+@pytest.mark.parametrize("value, refused", [
+    (math.nan, True), (math.inf, False), (-math.inf, True), (-0.1, True),
+    (1.5, False)], ids=["nan", "inf", "-inf", "-0.1", "1.5"])
+def test_no_go_bound_threshold_guard(value, refused):
+    if refused:
+        with pytest.raises(ValueError,
+                           match="^work threshold must be nonnegative$"):
+            NoGoBound(value, 0.05, regime="A6", **_COMPONENTS)
+    else:
+        assert NoGoBound(value, 0.05, regime="A6",
+                         **_COMPONENTS).work_threshold == value
 
 
 def test_no_go_bound_rejects_negative_threshold():

@@ -418,12 +418,32 @@ def test_shift_free_law_is_one_atom_without_merge(monkeypatch, lam, p_in):
         proto, QubitState(p_in)).p_excited
 
 
+def _float_law(dist):
+    """The law's (values, probabilities), asserting each is a Python float:
+    the laws are hashed by repr, and numpy 2 prints np.float64(1.0)."""
+    assert all(type(x) is float
+               for x in dist.values + dist.probabilities), repr(dist)
+    return dist.values, dist.probabilities
+
+
 def test_from_atoms_keeps_a_single_atom_of_positive_mass():
-    assert WorkDistribution.from_atoms([], [], CTX) == WorkDistribution((), ())
-    assert WorkDistribution.from_atoms([2.5], [0.0], CTX) == WorkDistribution(
-        (), ())
-    assert WorkDistribution.from_atoms(-1.5, 0.25, CTX) == WorkDistribution(
-        (-1.5,), (0.25,))
+    empty = ((), ())
+    cases = [
+        (([], []), empty),
+        (([2.5], [0.0]), empty),
+        ((-1.5, 0.25), ((-1.5,), (0.25,))),
+        ((-1.5, 0.0), empty),
+        ((-0.0, 1.0), ((-0.0,), (1.0,))),
+        ((np.float64(-1.5), np.float64(0.25)), ((-1.5,), (0.25,))),
+        ((np.array([2.5]), np.array([0.25])), ((2.5,), (0.25,))),
+        ((np.array([-0.0]), np.array([1.0])), ((-0.0,), (1.0,))),
+        ((np.array([2.5]), np.array([0.0])), empty),
+        ((np.zeros(0), np.zeros(0)), empty),
+    ]
+    for (values, probs), law in cases:
+        dist = WorkDistribution.from_atoms(values, probs, CTX)
+        # repr tells -0.0 from 0.0.
+        assert repr(_float_law(dist)) == repr(law)
 
 
 # Mixing steps before the first level shift, each followed by a random
@@ -436,6 +456,27 @@ _MIXING_PREFIXES = [
     (_ZERO_GAP, [BT(0.35), PT(0.6)]),
     (_ZERO_GAP, [PT(0.2), BT(1.0), BT(0.5)]),
 ]
+
+
+@pytest.mark.parametrize("p_in", [0.3, np.float64(0.3), 0, 1],
+                         ids=["float", "float64", "int0", "int1"])
+@pytest.mark.parametrize("ctx, steps", [
+    (CTX, []),
+    (CTX, [PT(0.3)]),
+    (CTX, [PT(1.0), LT(0.0), PT(0.45)]),
+    (_ZERO_GAP, [BT(0.35), PT(0.6)]),
+], ids=["empty", "PT", "PT-LT0-PT", "BT-PT"])
+def test_shift_free_law_holds_python_floats(ctx, steps, p_in):
+    # A shift-free protocol's law is its one atom as plain floats, whatever
+    # the number type of the start, with the bits of the array route.
+    proto = Protocol(ctx, steps)
+    dist = exact_work_distribution(proto, QubitState(p_in))
+    works, unocc, occ = engine._run_dp(steps, ctx.e0, ctx, p_in)
+    arrays = WorkDistribution.from_atoms(np.atleast_1d(works),
+                                         np.atleast_1d(unocc + occ), ctx)
+    assert repr(_float_law(dist)) == repr(_float_law(arrays))
+    assert dist.values == (0.0,)
+    assert dist.probabilities == pytest.approx((1.0,), abs=1e-15)
 
 
 @pytest.mark.parametrize("fallback", [False, True])

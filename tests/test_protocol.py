@@ -4,6 +4,7 @@ and JSON serialization."""
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -35,6 +36,19 @@ def test_step_parameter_ranges():
         BT(2.0)
     with pytest.raises(ValueError):
         LT(math.inf)
+
+
+@pytest.mark.parametrize("value, message", [
+    (math.nan, "lambda must be finite, got nan"),
+    (math.inf, "lambda must be finite, got inf"),
+    (-math.inf, "lambda must be finite, got -inf"),
+    (-0.1, "lambda must lie in [0, 1], got -0.1"),
+    (1.5, "lambda must lie in [0, 1], got 1.5"),
+], ids=["nan", "inf", "-inf", "-0.1", "1.5"])
+def test_thermalization_guard_messages(value, message):
+    # The range test runs first; a non-finite value still gets its own message.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PT(value)
 
 
 def test_validate_cyclic_pair():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -67,6 +68,19 @@ def test_state_invariants():
         QubitState(1.01)
     with pytest.raises(ValueError):
         QubitState(math.nan)
+
+
+@pytest.mark.parametrize("value, message", [
+    (math.nan, "p_excited must be finite, got nan"),
+    (math.inf, "p_excited must be finite, got inf"),
+    (-math.inf, "p_excited must be finite, got -inf"),
+    (-0.1, "population must lie in [0, 1], got -0.1"),
+    (1.5, "population must lie in [0, 1], got 1.5"),
+], ids=["nan", "inf", "-inf", "-0.1", "1.5"])
+def test_state_guard_messages(value, message):
+    # The range test runs first; a non-finite value still gets its own message.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        QubitState(value)
 
 
 def test_gibbs_population_values():
