@@ -10,9 +10,9 @@ byte-identical; a changed line names the output that moved.  Each line is
 `<name> <sha256>`.  CLI outputs run in-process, as a user runs them, and are
 hashed with their exit code, stdout and stderr; library laws are hashed by
 repr, which tells -0.0 from 0.0.  It gates nothing, and takes about 20 s
-on one core.  The Monte Carlo digests must not depend on the number of
-CPUs the process may use, so a run under `taskset -c 0` prints the same
-lines.
+on one core.  The Monte Carlo and `verify` digests must not depend on the
+number of CPUs the process may use, so a run under `taskset -c 0` prints
+the same lines.
 """
 
 from __future__ import annotations

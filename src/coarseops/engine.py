@@ -369,13 +369,17 @@ def brute_force_work_distribution(
             children = ((1.0 - gam, occupied, prob * (1.0 - gam)),
                         (gam, ~occupied, prob * gam))
         # Children as (weight, occupied, probability); one of zero weight
-        # has zero probability on every branch, so it is not stacked.
+        # has zero probability on every branch, so it gets no column.  Row
+        # b of the (branches, children) arrays holds branch b's children.
         children = [(o, p) for w, o, p in children if w != 0.0]
-        _check_budget(len(prob) * len(children), "oracle frontier")
-        occupied = np.stack(
-            [np.broadcast_to(o, prob.shape) for o, _ in children], 1).ravel()
-        prob = np.stack([p for _, p in children], 1).ravel()
-        work = np.repeat(work, len(children))
+        shape = (len(prob), len(children))
+        _check_budget(shape[0] * shape[1], "oracle frontier")
+        occupied_out, prob_out = np.empty(shape, dtype=bool), np.empty(shape)
+        for j, (o, p) in enumerate(children):
+            occupied_out[:, j] = o
+            prob_out[:, j] = p
+        occupied, prob = occupied_out.ravel(), prob_out.ravel()
+        work = np.repeat(work, shape[1])
     return WorkDistribution.from_atoms(work, prob, proto.ctx)
 
 
@@ -420,7 +424,7 @@ def _uniform_below(words: np.ndarray, limit: int | None) -> np.ndarray:
     return words < limit
 
 
-def _mc_threads() -> int:
+def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -429,10 +433,10 @@ def _mc_threads() -> int:
 
 def _slice_starts(m: int) -> list[int]:
     """The first sample of each slice of an m-sample chunk, then m: one
-    slice per CPU (_mc_threads), each a run of whole 4-word Philox blocks
+    slice per CPU (_usable_cpus), each a run of whole 4-word Philox blocks
     of at least _MC_SLICE_MIN samples, or the one slice [0, m) when m is
     not a whole number of blocks."""
-    n = 1 if m % 4 else max(1, min(_mc_threads(), m // _MC_SLICE_MIN))
+    n = 1 if m % 4 else max(1, min(_usable_cpus(), m // _MC_SLICE_MIN))
     return [4 * (m // 4 * k // n) for k in range(n)] + [m]
 
 

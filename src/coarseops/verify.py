@@ -14,12 +14,20 @@ so it neither overflows nor underflows at either end of the float range.
 A check then tests the same populations at every beta and reports the
 same figure, instead of passing on the frozen tail of the Gibbs curve at
 large beta; at beta = 1 every scaling is an exact no-op.
+
+The checks are independent, so `run_checks` runs them on every CPU the
+process may use, in forked workers beside the calling process.  The
+output does not depend on the number of CPUs, and a check that raises
+raises as it would on one CPU.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import sys
+import warnings
 
 import numpy as np
 
@@ -238,22 +246,111 @@ _CHECKS = [
 ]
 
 
+def _run_check(i: int, ctx: ThermalContext, cases: int, seed: int):
+    """(name, passed, margin) of check i, on its Philox stream."""
+    name, check = _CHECKS[i]
+    rng = np.random.Generator(np.random.Philox(key=seed + 1000 * i))
+    passed, margin = check(ctx, cases, rng)
+    return name, bool(passed), margin
+
+
+def _drain(queue: int, ctx: ThermalContext, cases: int, seed: int) -> dict:
+    """Run the checks whose indices this process reads from the queue pipe,
+    one byte per read, until the queue is empty or a check raises; returns
+    {index: result} of the checks that returned.  A check that raised is
+    left unreported, so that run_checks runs it again in suite order."""
+    done = {}
+    while index := os.read(queue, 1):
+        try:
+            done[index[0]] = _run_check(index[0], ctx, cases, seed)
+        except Exception:
+            break
+    return done
+
+
+def _fork_worker(queue: int, ctx: ThermalContext, cases: int, seed: int):
+    """Fork a worker that drains the queue and writes its results, pickled,
+    to a pipe of its own, then leaves by os._exit; returns its pid and the
+    read end of that pipe."""
+    reader, writer = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 and later warn about a fork in a process with
+            # threads, counting numpy's BLAS pool; the worker starts no
+            # thread, and an error raised here would leave it running.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(reader)
+        os.close(writer)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(reader)
+            with open(writer, "wb") as pipe:
+                pickle.dump(_drain(queue, ctx, cases, seed), pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(writer)
+    return pid, reader
+
+
 def run_checks(ctx: ThermalContext, cases: int, seed: int):
     """Run every check with `cases` randomized instances, check i on its
     own Philox stream keyed seed + 1000*i.  Returns (name, passed, margin)
     per check, in suite order.  Raises ValueError, before any check runs,
     when a key would fall outside Philox's range [0, 2**128), or when beta
     is below _MIN_BETA (about 1.78e-307), where the suite's widest value,
-    32/beta, overflows."""
+    32/beta, overflows.
+
+    The checks run on every CPU the process may use, at most one process
+    per check: this process and forked workers take check indices from one
+    pipe, filled in suite order.  A result is a function of (ctx, cases,
+    seed, i) alone, so the output does not depend on the number of CPUs.
+    After every worker is reaped, this process runs, in suite order, each
+    check no worker reported (one that raised, or whose worker died or
+    could not be forked), so an error is raised with the type and message
+    of a run on one CPU.  An exception in this process, such as Ctrl-C,
+    kills and reaps the workers before it propagates.  On one CPU, or
+    without os.fork, nothing is forked and this process runs every check."""
     top = 2**128 - 1 - 1000 * (len(_CHECKS) - 1)
     if not 0 <= seed <= top:
         raise ValueError(f"seed must lie in [0, {top}], got {seed}")
     if ctx.beta < _MIN_BETA:
         raise ValueError(f"verify needs beta >= {_MIN_BETA!r}, where "
                          f"{_WIDEST:g}/beta is finite, got beta = {ctx.beta!r}")
-    results = []
-    for i, (name, check) in enumerate(_CHECKS):
-        rng = np.random.Generator(np.random.Philox(key=seed + 1000 * i))
-        passed, margin = check(ctx, cases, rng)
-        results.append((name, bool(passed), margin))
-    return results
+    forks = min(engine._usable_cpus(), len(_CHECKS)) - 1
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(_CHECKS))))
+    os.close(feed)
+    readers, running = [], {}
+    try:
+        while hasattr(os, "fork") and len(readers) < forks:
+            try:
+                pid, reader = _fork_worker(queue, ctx, cases, seed)
+            except OSError:
+                break
+            readers.append(reader)
+            running[pid] = reader
+        done = _drain(queue, ctx, cases, seed)
+        for pid, reader in list(running.items()):
+            with open(reader, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del running[pid]
+            if status == 0:
+                done.update(pickle.loads(payload))
+    except BaseException:
+        import signal  # not loaded by the CLI otherwise
+
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        for fd in (queue, *readers):
+            os.close(fd)
+    return [done[i] if i in done else _run_check(i, ctx, cases, seed)
+            for i in range(len(_CHECKS))]

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import time
 import warnings
 
 import numpy as np
@@ -310,11 +312,15 @@ def test_verify_fault_injection_fails_one_check(monkeypatch):
             claimed = min(1.0, b.probability_lower_bound + 0.99)
             return dataclasses.replace(b, probability_lower_bound=claimed)
         monkeypatch.setattr(bounds, name, overstated)
-    result = run("verify", "--cases", "10", "--format", "json")
-    assert result.exit_code == 3
-    doc = json.loads(result.stdout)
-    failed = [c["check"] for c in doc["checks"] if not c["passed"]]
-    assert failed == ["bounds_vs_simulation"]
+    # Forked workers inherit the patch: on one CPU and on ten the same
+    # check fails.
+    for cpus in (1, 10):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda cpus=cpus: cpus)
+        result = run("verify", "--cases", "10", "--format", "json")
+        assert result.exit_code == 3
+        doc = json.loads(result.stdout)
+        failed = [c["check"] for c in doc["checks"] if not c["passed"]]
+        assert failed == ["bounds_vs_simulation"]
 
 
 def test_verify_appendix_margin_is_positive():
@@ -367,6 +373,113 @@ def test_verify_deterministic():
     a = run("verify", "--cases", "10", "--seed", "3")
     b = run("verify", "--cases", "10", "--seed", "3")
     assert a.stdout == b.stdout
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _verify_at(monkeypatch, cpus, *args):
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+    result = run("verify", "--cases", "3", *args)
+    _assert_no_child_left()
+    return result.exit_code, result.stdout, result.stderr
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_output_does_not_depend_on_the_cpu_count(monkeypatch, fmt):
+    # At 16 CPUs the pool is clipped to one process per check: nine forks
+    # and this process.
+    forks = []
+    fork_worker = verify._fork_worker
+
+    def counted(*args):
+        forks.append(1)
+        return fork_worker(*args)
+
+    monkeypatch.setattr(verify, "_fork_worker", counted)
+    one = _verify_at(monkeypatch, 1, "--format", fmt)
+    assert one[0] == 0 and not forks
+    for cpus, n in ((3, 2), (16, len(verify._CHECKS) - 1)):
+        assert _verify_at(monkeypatch, cpus, "--format", fmt) == one
+        assert len(forks) == n
+        forks.clear()
+
+
+def _patch_check(monkeypatch, index, check):
+    checks = list(verify._CHECKS)
+    checks[index] = (checks[index][0], check)
+    monkeypatch.setattr(verify, "_CHECKS", checks)
+
+
+def _raise_value_error(ctx, cases, rng):
+    raise ValueError("check three refused its input")
+
+
+def _overflow(ctx, cases, rng):
+    return bool(np.float64(1e308) * 10.0 > 0), "unreachable"
+
+
+@pytest.mark.parametrize("raising", [
+    {3: _raise_value_error},
+    {8: _overflow},
+    {3: _raise_value_error, 8: _overflow},
+    {8: _raise_value_error, 3: _overflow},
+])
+def test_verify_error_in_a_check_reads_as_on_one_cpu(monkeypatch, raising):
+    # A check that raises in a worker is run again by this process, in
+    # suite order, so the lowest raising index gives the one error line,
+    # through the CLI's boundary, at every CPU count.
+    for index, check in raising.items():
+        _patch_check(monkeypatch, index, check)
+    one = _verify_at(monkeypatch, 1)
+    code, stdout, stderr = one
+    assert (code, stdout) == (2, "")
+    [line] = stderr.splitlines()
+    # numpy 1.x and 2.x name the overflowing operation differently.
+    assert line.startswith("error: check three refused its input"
+                           if raising[min(raising)] is _raise_value_error
+                           else "error: overflow encountered in ")
+    for cpus in (3, 16):
+        assert _verify_at(monkeypatch, cpus) == one
+
+
+def test_verify_reruns_the_checks_of_a_worker_that_died(monkeypatch, tmp_path):
+    # Every check kills the worker that runs it, so each worker dies at its
+    # first check without reporting, and this process runs them all.
+    parent, marker = os.getpid(), tmp_path / "died"
+    honest = list(verify._CHECKS)
+    one = _verify_at(monkeypatch, 1)
+    for i, (_, check) in enumerate(honest):
+        def dying(ctx, cases, rng, check=check):
+            if os.getpid() != parent:
+                marker.touch()
+                os._exit(1)
+            return check(ctx, cases, rng)
+        _patch_check(monkeypatch, i, dying)
+    assert _verify_at(monkeypatch, 3) == one
+    assert marker.exists()
+
+
+def test_verify_interrupt_kills_the_workers(monkeypatch):
+    # Ctrl-C in this process, while the workers are still busy, reaches the
+    # caller at once, and no worker outlives run_checks.
+    parent = os.getpid()
+
+    def interrupted(ctx, cases, rng):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    for i in range(len(verify._CHECKS)):
+        _patch_check(monkeypatch, i, interrupted)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_checks(CTX, 3, 0)
+    assert time.perf_counter() - start < 30
+    _assert_no_child_left()
 
 
 def test_verify_rejects_bad_cases():
@@ -647,7 +760,7 @@ def test_simulate_work_past_the_float_range_is_one_line(monkeypatch, tmp_path,
     # helper thread, which must raise under the CLI's numpy error state.
     # Warnings are recorded, not raised: a helper's warning would be
     # printed to a user, but as an error it would lose to the caller's.
-    monkeypatch.setattr(engine, "_mc_threads", lambda: 2)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     beta = 2.0**-1020
     rounds = [LT(-4 / beta), PT(1.0), LT(4 / beta), PT(1.0)] * 4
     f = _write_protocol(tmp_path, ThermalContext(beta, 1 / beta), rounds)

@@ -897,7 +897,7 @@ def test_monte_carlo_bits_do_not_depend_on_the_thread_count(monkeypatch,
     sys.setswitchinterval(1e-6)
     try:
         for threads in (1, 2, 3, 4):
-            monkeypatch.setattr(engine, "_mc_threads", lambda: threads)
+            monkeypatch.setattr(engine, "_usable_cpus", lambda: threads)
             assert len(engine._slice_starts(engine._MC_CHUNK)) == threads + 1
             got = monte_carlo(_ALL_KINDS, QubitState(0.3), n_samples, 5)
             assert _mc_bits(got) == want, threads
@@ -913,7 +913,7 @@ def test_monte_carlo_slices_share_one_chunk_of_memory(monkeypatch):
     monte_carlo(proto, QubitState(0.1), engine._MC_CHUNK, seed=0)
     peaks = {}
     for threads in (1, 2):
-        monkeypatch.setattr(engine, "_mc_threads", lambda: threads)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: threads)
         tracemalloc.start()
         try:
             monte_carlo(proto, QubitState(0.1), engine._MC_CHUNK, seed=0)
@@ -931,7 +931,7 @@ def test_monte_carlo_helpers_run_under_the_callers_error_state(monkeypatch):
         states.append(np.geterr())
         return sample_slice(*args)
 
-    monkeypatch.setattr(engine, "_mc_threads", lambda: 3)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(engine, "_sample_slice", recording)
     with np.errstate(over="raise", under="warn", invalid="ignore"):
         want = np.geterr()
@@ -950,7 +950,7 @@ def test_monte_carlo_joins_every_helper_when_a_slice_raises(monkeypatch,
             raise FloatingPointError(f"{failing} slice")
         return sample_slice(*args)
 
-    monkeypatch.setattr(engine, "_mc_threads", lambda: 3)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(engine, "_sample_slice", failing_slice)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match=f"^{failing} slice$"):
