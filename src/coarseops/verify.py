@@ -18,7 +18,8 @@ large beta; at beta = 1 every scaling is an exact no-op.
 The checks are independent, so `run_checks` runs them on every CPU the
 process may use, in forked workers beside the calling process.  The
 output does not depend on the number of CPUs, and a check that raises
-raises as it would on one CPU.
+raises as it would on one CPU.  A process with another Python thread
+running forks nothing.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 import os
 import pickle
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -276,8 +278,10 @@ def _fork_worker(queue: int, ctx: ThermalContext, cases: int, seed: int):
     try:
         with warnings.catch_warnings():
             # Python 3.12 and later warn about a fork in a process with
-            # threads, counting numpy's BLAS pool; the worker starts no
-            # thread, and an error raised here would leave it running.
+            # threads, counting native ones such as numpy's BLAS pool;
+            # run_checks forks only when no other Python thread runs, the
+            # worker starts no thread, and an error raised here would leave
+            # it running.
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except OSError:
@@ -313,21 +317,25 @@ def run_checks(ctx: ThermalContext, cases: int, seed: int):
     check no worker reported (one that raised, or whose worker died or
     could not be forked), so an error is raised with the type and message
     of a run on one CPU.  An exception in this process, such as Ctrl-C,
-    kills and reaps the workers before it propagates.  On one CPU, or
-    without os.fork, nothing is forked and this process runs every check."""
+    kills and reaps the workers before it propagates.  On one CPU, without
+    os.fork, or while another Python thread runs (a forked child could wait
+    forever on a lock that thread held), nothing is forked and this process
+    runs every check."""
     top = 2**128 - 1 - 1000 * (len(_CHECKS) - 1)
     if not 0 <= seed <= top:
         raise ValueError(f"seed must lie in [0, {top}], got {seed}")
     if ctx.beta < _MIN_BETA:
         raise ValueError(f"verify needs beta >= {_MIN_BETA!r}, where "
                          f"{_WIDEST:g}/beta is finite, got beta = {ctx.beta!r}")
-    forks = min(engine._usable_cpus(), len(_CHECKS)) - 1
+    forks = 0
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        forks = min(engine._usable_cpus(), len(_CHECKS)) - 1
     queue, feed = os.pipe()
     os.write(feed, bytes(range(len(_CHECKS))))
     os.close(feed)
     readers, running = [], {}
     try:
-        while hasattr(os, "fork") and len(readers) < forks:
+        while len(readers) < forks:
             try:
                 pid, reader = _fork_worker(queue, ctx, cases, seed)
             except OSError:

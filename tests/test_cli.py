@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import threading
 import time
 import warnings
 
@@ -405,6 +406,33 @@ def test_verify_output_does_not_depend_on_the_cpu_count(monkeypatch, fmt):
         assert _verify_at(monkeypatch, cpus, "--format", fmt) == one
         assert len(forks) == n
         forks.clear()
+
+
+def test_verify_forks_nothing_while_another_thread_runs(monkeypatch):
+    # A forked child copies only the calling thread, and could wait forever
+    # on a lock the helper held; so the suite runs in this process alone,
+    # with the output of one CPU.
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    one = _verify_at(monkeypatch, 1)
+    assert one[0] == 0 and not forks
+    release = threading.Event()
+    helper = threading.Thread(target=release.wait)
+    helper.start()
+    try:
+        assert _verify_at(monkeypatch, 16) == one
+    finally:
+        release.set()
+        helper.join()
+    assert not forks
+    assert _verify_at(monkeypatch, 16) == one
+    assert len(forks) == len(verify._CHECKS) - 1
 
 
 def _patch_check(monkeypatch, index, check):
