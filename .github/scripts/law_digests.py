@@ -187,9 +187,14 @@ def main() -> None:
         path, QubitState(0.3)) for path in path_list))
     digest("paths.area_csv", (paths.area_between(path).to_csv()
                               for path in path_list))
-    digest("paths.stage2.e0=1e16", (
-        paths.stage2_work_distribution(path)
-        for path in corpus(ThermalContext(beta=1.0, e0=1e16))))
+    far_paths = corpus(ThermalContext(beta=1.0, e0=1e16))
+    digest("paths.stage2.e0=1e16", (paths.stage2_work_distribution(path)
+                                    for path in far_paths))
+    # Full-path laws and final states, which thermalize at the stored gaps.
+    digest("paths.full.e0=1e16", (
+        (paths.path_work_distribution(path, QubitState(0.3)),
+         paths.path_final_state(path, QubitState(0.3)))
+        for path in far_paths))
 
 
 if __name__ == "__main__":

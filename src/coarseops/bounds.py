@@ -227,9 +227,12 @@ def reverse_markov_lower(mean: float, a: float) -> ReverseMarkovBounds:
 
 
 def cantelli_lower(delta: float, variance: float) -> float:
-    """P(X <= EX + delta) >= delta^2 / (Var X + delta^2)."""
+    """P(X <= EX + delta) >= delta^2 / (Var X + delta^2), or its limit where
+    delta^2 overflows; 1 at delta = inf (a sure event), for any variance."""
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     if not variance >= 0.0:
         raise ValueError(f"variance must be nonnegative, got {variance}")
-    return delta * delta / (variance + delta * delta)
+    if delta * delta < math.inf:
+        return delta * delta / (variance + delta * delta)
+    return 1.0 / (1.0 + variance / delta / delta) if delta < math.inf else 1.0

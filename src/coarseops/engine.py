@@ -2,10 +2,12 @@
 
 The exact law of the work random variable is computed by one dynamic
 program over (occupation bit, accumulated work), `_run_dp`, which serves
-protocols and resolved paths alike.  Until the first level shift the
-support is one atom at work 0, held as plain floats, and
-`WorkDistribution.from_atoms` returns that one atom without an array, a
-sort or a merge.  A full thermalization (lam = 1) forgets the
+protocols and resolved paths alike.  It and the population recursion
+`_final_population` read each step's gap from their caller (a protocol's
+`energy_trajectory()`, a path's stored gaps) and sum no increments.  Until
+the first level shift the support is one atom at work 0, held as plain
+floats, and `WorkDistribution.from_atoms` returns that one atom without an
+array, a sort or a merge.  A full thermalization (lam = 1) forgets the
 occupation: each occupation column becomes its Gibbs weight times the
 total.  While the protocol's lattice of signed shift counts, one axis per
 distinct |delta_e|, has at most 32 cells per level shift and at most
@@ -174,27 +176,23 @@ def total_variation(a: WorkDistribution, b: WorkDistribution, ctx) -> float:
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
-def _final_population(steps, start_energy: float, ctx, p: float) -> float:
-    """Scalar population recursion over a step sequence starting at gap
-    start_energy: thermalization mixes toward the thermal population at the
-    current gap, shifts leave populations alone, swaps mix with the flipped
+def _final_population(steps, gaps, ctx, p: float) -> float:
+    """Scalar population recursion over a step sequence, with gaps[i] the
+    gap at step i: thermalization mixes toward the thermal population at
+    that gap, shifts leave populations alone, swaps mix with the flipped
     population."""
-    e = start_energy
-    for step in steps:
+    for step, e in zip(steps, gaps):
         if isinstance(step, PartialThermalization):
             p = (1.0 - step.lam) * p + step.lam * gibbs_population(e, ctx)
-        elif isinstance(step, LevelTransformation):
-            e += step.delta_e
-        else:
+        elif isinstance(step, BistochasticTransformation):
             p = (1.0 - step.gamma) * p + step.gamma * (1.0 - p)
     return p
 
 
 def final_state(proto: Protocol, initial: QubitState) -> QubitState:
     """Deterministic population evolution of a protocol."""
-    return QubitState(
-        _final_population(proto.steps, proto.ctx.e0, proto.ctx, initial.p_excited)
-    )
+    return QubitState(_final_population(
+        proto.steps, proto.energy_trajectory(), proto.ctx, initial.p_excited))
 
 
 def _shift_lattice(steps):
@@ -230,15 +228,15 @@ def _shift_lattice(steps):
     return axes, cells, origin
 
 
-def _run_dp(steps, start_energy: float, ctx, p: float):
-    """Exact work law of a step sequence from gap start_energy and excited
-    population p, as parallel arrays: work values with their mass split by
-    final occupation.  Thermalizations and swaps mix the two occupation
-    columns atom by atom; only level shifts move mass between work values
-    (the occupied column pays -delta_e).  At lam = 1 each column becomes its
-    Gibbs weight times the total, in 3 array operations where the general
-    arm takes 7, with the same bits: the masses are finite and their total
-    is never -0.0, so 0*x + y == y, and 1*(1 - g) == 1 - g.
+def _run_dp(steps, gaps, ctx, p: float):
+    """Exact work law of a step sequence from excited population p, with
+    gaps[i] the gap at step i, as parallel arrays: work values with their
+    mass split by final occupation.  Thermalizations and swaps mix the two
+    occupation columns atom by atom; only level shifts move mass between
+    work values (the occupied column pays -delta_e).  At lam = 1 each column
+    becomes its Gibbs weight times the total, in 3 array operations where
+    the general arm takes 7, with the same bits: the masses are finite and
+    their total is never -0.0, so 0*x + y == y, and 1*(1 - g) == 1 - g.
 
     Until the first level shift the support is the one atom at work 0, so
     the columns are plain floats, with the same IEEE results as one-element
@@ -261,8 +259,7 @@ def _run_dp(steps, start_energy: float, ctx, p: float):
         strides = {m: stride for m, stride, _, _ in axes}
         hi = lo + 1
         cell_unocc, cell_occ = np.zeros(cells), np.zeros(cells)
-    e = start_energy
-    for step in steps:
+    for step, e in zip(steps, gaps):
         if isinstance(step, PartialThermalization):
             g = gibbs_population(e, ctx)
             lam = step.lam
@@ -279,7 +276,6 @@ def _run_dp(steps, start_energy: float, ctx, p: float):
                 (1.0 - gam) * occ + gam * unocc,
             )
         elif step.delta_e != 0.0:
-            e += step.delta_e
             if lattice is not None:
                 s = strides[abs(step.delta_e)]
                 cell_unocc[lo:hi] = unocc
@@ -316,15 +312,15 @@ def exact_work_distribution(
 ) -> WorkDistribution:
     """Exact law of the total work by dynamic programming (_run_dp).
     Raises ResourceError past ATOM_CAP; monte_carlo samples such a law."""
-    works, unocc, occ = _run_dp(
-        proto.steps, proto.ctx.e0, proto.ctx, initial.p_excited
-    )
+    works, unocc, occ = _run_dp(proto.steps, proto.energy_trajectory(),
+                                proto.ctx, initial.p_excited)
     return WorkDistribution.from_atoms(works, unocc + occ, proto.ctx)
 
 
 def dp_final_occupation(proto: Protocol, initial: QubitState) -> float:
     """Occupation marginal of the exact DP, for cross-checking final_state."""
-    _, _, occ = _run_dp(proto.steps, proto.ctx.e0, proto.ctx, initial.p_excited)
+    _, _, occ = _run_dp(proto.steps, proto.energy_trajectory(), proto.ctx,
+                        initial.p_excited)
     return float(np.sum(occ))
 
 

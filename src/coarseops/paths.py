@@ -9,9 +9,9 @@ given exactly (a drawn gap, a swap at 0.0) stays exact however large the
 start gap e0 is.  A shrunk path carries no identity tags at all.
 
 A path's exact work law is the protocol DP of `engine` (atoms closer than
-MERGE_TOL / beta merged, zero-mass atoms dropped) run on its steps:
-LT(b - a) wherever consecutive gaps a, b differ, PT(1) for a Gibbs tag and
-BT(1) for a swap tag.
+MERGE_TOL / beta merged, zero-mass atoms dropped) run on its steps: LT(b -
+a) between consecutive gaps a, b, PT(1) for a Gibbs tag and BT(1) for a
+swap tag.  A Gibbs tag thermalizes at the gap the path stores for it.
 
 Stages: I up to and including the first Gibbs tag, II until the last Gibbs
 tag, III after it.  Stage free-energy changes are Gibbs-curve integrals
@@ -270,27 +270,26 @@ _TAG_STEPS = {
 }
 
 
-def _path_steps(path: Path) -> list:
-    """The path as protocol steps: LT(b - a) wherever consecutive gaps a, b
-    differ, then the step of the tag at b; identity tags vanish."""
-    steps = []
+def _path_steps(path: Path) -> tuple[tuple, tuple[float, ...]]:
+    """The path as protocol steps and the stored gap at each: LT(b - a) at
+    gap a for consecutive gaps a, b, then the tag's step at gap b; identity
+    tags vanish."""
+    pairs = []
     for a, b, tag in zip(path.gaps, path.gaps[1:], (*path.tags, None)):
-        if b != a:
-            steps.append(LevelTransformation(b - a))
+        pairs.append((LevelTransformation(b - a), a))
         if tag in _TAG_STEPS:
-            steps.append(_TAG_STEPS[tag])
-    return steps
+            pairs.append((_TAG_STEPS[tag], b))
+    return tuple(zip(*pairs))
 
 
 def path_work_distribution(path: Path, initial: QubitState) -> WorkDistribution:
     """Exact work law conditional on this resolved path.
 
     The occupation starts Bernoulli(initial), redraws from the Gibbs
-    population at each Gibbs tag, and flips at each swap tag; every
-    level shift charges work -delta_e on the occupied branch."""
-    works, unocc, occ = _run_dp(
-        _path_steps(path), path.start_energy, path.ctx, initial.p_excited
-    )
+    population at the stored gap of each Gibbs tag, and flips at each swap
+    tag; every level shift charges work -delta_e on the occupied branch."""
+    works, unocc, occ = _run_dp(*_path_steps(path), path.ctx,
+                                initial.p_excited)
     return WorkDistribution.from_atoms(works, unocc + occ, path.ctx)
 
 
@@ -304,9 +303,8 @@ def stage2_work_distribution(path: Path) -> WorkDistribution:
 
 def path_final_state(path: Path, initial: QubitState) -> QubitState:
     """Occupation law at the end of the resolved path."""
-    return QubitState(_final_population(
-        _path_steps(path), path.start_energy, path.ctx, initial.p_excited
-    ))
+    return QubitState(_final_population(*_path_steps(path), path.ctx,
+                                        initial.p_excited))
 
 
 def _stage3_margin(q_out: float, ctx: ThermalContext, sign: float) -> float:

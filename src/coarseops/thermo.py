@@ -105,9 +105,12 @@ def energy_of_population(p: float, ctx: ThermalContext) -> float:
 
 
 def partition_function(e: float, ctx: ThermalContext) -> float:
-    """Two-level partition function 1 + exp(-beta*e)."""
+    """Two-level partition function 1 + exp(-beta*e), inf past overflow."""
     e = _require_finite(e, "energy")
-    return 1.0 + math.exp(-ctx.beta * e)
+    try:
+        return 1.0 + math.exp(-ctx.beta * e)
+    except OverflowError:
+        return math.inf
 
 
 def entropy(state: QubitState) -> float:

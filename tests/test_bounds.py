@@ -417,6 +417,13 @@ def test_reverse_markov_never_exceeds_exact():
 def test_cantelli_examples():
     assert cantelli_lower(0.5, 0.0) == 1.0
     assert cantelli_lower(2.0, 4.0) == pytest.approx(0.5)
+    # Past delta ~ 1.34e154, delta^2 overflows; the bound is its limit, not
+    # inf / inf.  At delta = inf the event is sure, whatever the variance.
+    for delta in (1e154, 1e200, math.inf):
+        assert cantelli_lower(delta, 1.0) == 1.0
+    assert cantelli_lower(1e155, 1e308) == pytest.approx(1 / 1.01, rel=1e-15)
+    assert cantelli_lower(1e200, math.inf) == 0.0
+    assert cantelli_lower(math.inf, math.inf) == 1.0
     for delta in (0.0, math.nan):
         with pytest.raises(ValueError, match="^delta must be positive"):
             cantelli_lower(delta, 1.0)

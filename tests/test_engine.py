@@ -471,7 +471,8 @@ def test_shift_free_law_holds_python_floats(ctx, steps, p_in):
     # the number type of the start, with the bits of the array route.
     proto = Protocol(ctx, steps)
     dist = exact_work_distribution(proto, QubitState(p_in))
-    works, unocc, occ = engine._run_dp(steps, ctx.e0, ctx, p_in)
+    works, unocc, occ = engine._run_dp(steps, proto.energy_trajectory(), ctx,
+                                        p_in)
     arrays = WorkDistribution.from_atoms(np.atleast_1d(works),
                                          np.atleast_1d(unocc + occ), ctx)
     assert repr(_float_law(dist)) == repr(_float_law(arrays))
@@ -667,8 +668,9 @@ def _assert_full_thermalization_arm_keeps_bits(steps, ctx=CTX,
     fast, general = Protocol(ctx, steps), Protocol(ctx, _general_arm(steps))
     for p in starts:
         before = _NotOne.compared
-        arrays = engine._run_dp(fast.steps, ctx.e0, ctx, p)
-        forced = engine._run_dp(general.steps, ctx.e0, ctx, p)
+        arrays = engine._run_dp(fast.steps, fast.energy_trajectory(), ctx, p)
+        forced = engine._run_dp(general.steps, general.energy_trajectory(),
+                                ctx, p)
         assert _NotOne.compared > before
         assert [np.asarray(a).tobytes() for a in arrays] == [
             np.asarray(a).tobytes() for a in forced]

@@ -328,6 +328,24 @@ def test_large_start_gap_leaves_the_drawn_gaps_alone(e0):
                    if tag is S), seed
 
 
+@pytest.mark.parametrize("gap", [0.5, 0.34])
+@pytest.mark.parametrize("e0", [LN3, 1e6, 1e16])
+def test_path_laws_thermalize_at_the_stored_gaps(e0, gap):
+    # A Gibbs tag thermalizes at the gap the path stores, not at e0 plus
+    # the shifts taken back from the stored gaps.  Such a sum would read
+    # the gap 0.5 as 0.0 from e0 = 1e16 (final population 0.5, masses
+    # (0.35, 0.5, 0.15)), and move the gap 0.34 by an ulp from e0 = ln 3 or
+    # 1e6, enough to move its Gibbs population.
+    ctx = ThermalContext(beta=1.0, e0=e0)
+    path = cyclic_path([gap], [G], ctx)
+    initial = QubitState(0.3)
+    assert path_final_state(path, initial).p_excited == gibbs_population(
+        gap, ctx)
+    at_one = cyclic_path([gap], [G], ThermalContext(beta=1.0, e0=1.0))
+    assert (path_work_distribution(path, initial).probabilities
+            == path_work_distribution(at_one, initial).probabilities)
+
+
 def test_decompose_no_thermalization():
     path = make_path([LN3, 2.0, LN3], [S])  # swap path (not at zero; structural only)
     d = decompose_stages(path)

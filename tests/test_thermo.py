@@ -171,6 +171,11 @@ def test_gibbs_population_range():
 def test_partition_function_values():
     assert partition_function(0.0, CTX) == pytest.approx(2.0, abs=0)
     assert partition_function(math.log(3), CTX) == pytest.approx(4 / 3, rel=1e-15)
+    # exp(-beta*e) overflows below beta*e = -709.78: the sum is inf there,
+    # as gibbs_free_energy is -inf, and no OverflowError escapes.
+    assert partition_function(-700.0, CTX) == 1.0 + math.exp(700.0)
+    assert partition_function(-800.0, CTX) == math.inf
+    assert partition_function(-1e308, ThermalContext(10.0, 1.0)) == math.inf
 
 
 @given(e=st.floats(min_value=-20, max_value=20))
