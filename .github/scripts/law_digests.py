@@ -134,6 +134,15 @@ def main() -> None:
     digest("simulate.exact", [run_cli(*staged)])
     digest("simulate.samples", [run_cli(*staged, "--samples", 100_000,
                                         "--seed", 7)])
+    # The two solves of perfbench's staged-exact workload, and the sampled
+    # law, as JSON.
+    digest("simulate.json.staged", [
+        run_cli("simulate", "--p-beta", 0.25, "--p-out", 0.3,
+                "--stage2-steps", 3000, "--format", "json"),
+        run_cli("simulate", "--p-beta", 0.25, "--p-in", 0.1, "--p-out", 0.3,
+                "--stage2-steps", 2000, "--format", "json")])
+    digest("simulate.json.samples", [run_cli(
+        *staged, "--samples", 100_000, "--seed", 7, "--format", "json")])
     # The first ends in a chunk that is not a whole number of Philox
     # blocks; the second has three full chunks.
     for samples in (69_537, 200_003):
@@ -151,6 +160,17 @@ def main() -> None:
     digest("dp.random_protocol.40.lam=1", (
         engine.exact_work_distribution(full_thermalizations(seed, 40),
                                        start(seed))
+        for seed in range(300)))
+    digest("dp_final_occupation.random_protocol.40.lam=1", (
+        engine.dp_final_occupation(full_thermalizations(seed, 40),
+                                   start(seed))
+        for seed in range(300)))
+    # random_protocol closes with a shift; this corpus ends in PT(1).
+    digest("dp.lam=1.ends_in_PT", (
+        engine.exact_work_distribution(
+            Protocol(CTX, full_thermalizations(seed, 40).steps
+                     + (PartialThermalization(1.0),)),
+            start(seed))
         for seed in range(300)))
     digest("oracle.random_protocol.8", (
         engine.brute_force_work_distribution(

@@ -16,6 +16,7 @@ infinite work value.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -72,6 +73,24 @@ def _write_output(text: str, out):
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _law_json(doc: dict) -> str:
+    """json.dumps(doc, indent=2), byte for byte, for a dict of floats and
+    lists of floats.  json's encoder runs in Python whenever indent is set,
+    so each nonempty list of finite floats is written here instead, as one
+    join of float.__repr__, which json calls for a finite float; every
+    other entry, Infinity and NaN included, goes through json."""
+    entries = []
+    for key, value in doc.items():
+        if isinstance(value, list) and value and all(map(math.isfinite,
+                                                         value)):
+            entries.append(f"  {json.dumps(key)}: [\n    "
+                           + ",\n    ".join(map(float.__repr__, value))
+                           + "\n  ]")
+        else:
+            entries.append(json.dumps({key: value}, indent=2)[2:-2])
+    return "{\n" + ",\n".join(entries) + "\n}"
 
 
 _ctx_options = [
@@ -181,7 +200,7 @@ def simulate(beta, e0, p_beta, protocol_file, p_in, p_out, stage2_steps,
         }
         if std_error is not None:
             doc["mean_std_error"] = std_error
-        _write_output(json.dumps(doc, indent=2) + "\n", out)
+        _write_output(_law_json(doc) + "\n", out)
 
 
 FIGURE8_P_INS = (1 / 16, 1 / 8, 3 / 16)

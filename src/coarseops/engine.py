@@ -12,10 +12,12 @@ occupation: each occupation column becomes its Gibbs weight times the
 total.  While the protocol's lattice of signed shift counts, one axis per
 distinct |delta_e|, has at most 32 cells per level shift and at most
 ATOM_CAP cells (`_shift_lattice`), the DP holds the support as
-that dense lattice: a level shift moves mass by an index stride, the work
-value of each cell of positive mass is formed once at the end, and the one
-merge is the final one in `WorkDistribution.from_atoms`, a stable sort in
-cell order and hence deterministic.  Otherwise a level shift moves only
+that dense lattice: a level shift moves mass by an index stride, and one
+after a full thermalization writes the two products straight into its
+cells; the work value of each cell of positive mass is formed once at
+the end, and the one merge is the final one in
+`WorkDistribution.from_atoms`, a stable sort in cell order and hence
+deterministic.  Otherwise a level shift moves only
 the atoms with occupied mass, keeps those with unoccupied mass, and merges,
 by `_merge_atoms`, each run of atoms with gaps below MERGE_TOL / beta into
 one atom at first + sum p*(v - first) / sum p.  No work value is formed
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -132,9 +135,7 @@ class WorkDistribution:
 
     @property
     def mean(self) -> float:
-        return float(
-            sum(w * p for w, p in zip(self.values, self.probabilities))
-        )
+        return float(sum(map(operator.mul, self.values, self.probabilities)))
 
     @property
     def variance(self) -> float:
@@ -237,6 +238,11 @@ def _run_dp(steps, gaps, ctx, p: float):
     becomes its Gibbs weight times the total, in 3 array operations where
     the general arm takes 7, with the same bits: the masses are finite and
     their total is never -0.0, so 0*x + y == y, and 1*(1 - g) == 1 - g.
+    On the lattice the two products wait, as (total, g), for the next step:
+    a nonzero shift writes them straight into its cells, a zero shift
+    leaves them waiting, and any other step, or the end of the steps,
+    forms the columns first.  Each cell gets the same two products, so the
+    bits are those of forming the columns and copying them in.
 
     Until the first level shift the support is the one atom at work 0, so
     the columns are plain floats, with the same IEEE results as one-element
@@ -253,6 +259,9 @@ def _run_dp(steps, gaps, ctx, p: float):
     merges by _merge_atoms at MERGE_TOL / beta, refusing with ResourceError
     once the support exceeds ATOM_CAP atoms."""
     works, unocc, occ = 0.0, 1.0 - p, p
+    # The Gibbs weight of a full thermalization on the lattice whose columns
+    # are not formed yet; `total` holds their sum.
+    split = None
     lattice = _shift_lattice(steps)
     if lattice is not None:
         axes, cells, lo = lattice
@@ -260,12 +269,17 @@ def _run_dp(steps, gaps, ctx, p: float):
         hi = lo + 1
         cell_unocc, cell_occ = np.zeros(cells), np.zeros(cells)
     for step, e in zip(steps, gaps):
+        if split is not None and not isinstance(step, LevelTransformation):
+            unocc, occ, split = (1.0 - split) * total, split * total, None
         if isinstance(step, PartialThermalization):
             g = gibbs_population(e, ctx)
             lam = step.lam
             total = unocc + occ
             if lam == 1.0:
-                unocc, occ = (1.0 - g) * total, g * total
+                if lattice is not None:
+                    split = g
+                else:
+                    unocc, occ = (1.0 - g) * total, g * total
             else:
                 unocc = (1.0 - lam) * unocc + lam * (1.0 - g) * total
                 occ = (1.0 - lam) * occ + lam * g * total
@@ -278,15 +292,21 @@ def _run_dp(steps, gaps, ctx, p: float):
         elif step.delta_e != 0.0:
             if lattice is not None:
                 s = strides[abs(step.delta_e)]
-                cell_unocc[lo:hi] = unocc
                 if step.delta_e > 0:
-                    cell_occ[lo + s:hi + s] = occ
-                    cell_occ[lo:min(lo + s, hi)] = 0.0
-                    hi += s
+                    shifted = slice(lo + s, hi + s)
+                    vacated = slice(lo, min(lo + s, hi))
                 else:
-                    cell_occ[lo - s:hi - s] = occ
-                    cell_occ[max(hi - s, lo):hi] = 0.0
-                    lo -= s
+                    shifted = slice(lo - s, hi - s)
+                    vacated = slice(max(hi - s, lo), hi)
+                if split is None:
+                    cell_unocc[lo:hi] = unocc
+                    cell_occ[shifted] = occ
+                else:
+                    np.multiply(total, 1.0 - split, out=cell_unocc[lo:hi])
+                    np.multiply(total, split, out=cell_occ[shifted])
+                    split = None
+                cell_occ[vacated] = 0.0
+                lo, hi = min(lo, shifted.start), max(hi, shifted.stop)
                 unocc, occ = cell_unocc[lo:hi], cell_occ[lo:hi]
                 continue
             works, unocc, occ = np.atleast_1d(works, unocc, occ)
@@ -299,6 +319,8 @@ def _run_dp(steps, gaps, ctx, p: float):
                                              unocc, occ)
             _check_budget(len(works), "work support")
     if lattice is not None:
+        if split is not None:
+            unocc, occ = (1.0 - split) * total, split * total
         live = unocc + occ > 0
         cell, unocc, occ = np.arange(lo, hi)[live], unocc[live], occ[live]
         works = np.zeros(len(cell))

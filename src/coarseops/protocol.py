@@ -173,12 +173,11 @@ def build_average_work_protocol(
     e_in = energy_of_population(p_in, ctx)
     e_out = energy_of_population(p_out, ctx)
     delta = (e_in - e_out) / n_stage2
-    steps: list[ProtocolStep] = [LevelTransformation(e_in - ctx.e0)]
-    for _ in range(n_stage2):
-        steps.append(LevelTransformation(-delta))
-        steps.append(PartialThermalization(1.0))
-    steps.append(LevelTransformation(ctx.e0 - e_out))
-    return Protocol(ctx, steps)
+    # Steps are immutable values, so every round shares the same two.
+    stage2 = (LevelTransformation(-delta), PartialThermalization(1.0))
+    return Protocol(ctx, (LevelTransformation(e_in - ctx.e0),)
+                    + stage2 * n_stage2
+                    + (LevelTransformation(ctx.e0 - e_out),))
 
 
 def build_thermalize_once(

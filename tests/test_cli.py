@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from coarseops import bounds, engine, thermo, verify
+from coarseops import bounds, cli, engine, thermo, verify
 from coarseops.cli import main
 from coarseops.paths import epsilon_iii
 from coarseops.protocol import (
@@ -70,6 +70,40 @@ def test_simulate_json_format(tmp_path):
     doc = json.loads(result.stdout)
     assert doc["final_p_excited"] == pytest.approx(0.5)
     assert len(doc["work"]) == 2
+
+
+def _law_doc(work, std_error=None, variance=0.25):
+    doc = {"work": list(work), "probability": [1 / len(work)] * len(work),
+           "final_p_excited": 0.3, "mean": 0.5, "variance": variance}
+    if std_error is not None:
+        doc["mean_std_error"] = std_error
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _law_doc([0.0]),
+    _law_doc([-0.0, 5e-324, 1e-05, 1e16, 1e308]),
+    _law_doc([-1.5, 2.0], variance=math.inf),
+    _law_doc([-1.5, 2.0], std_error=0.125),
+    _law_doc([-1.5, 2.0], std_error=math.inf, variance=math.inf),
+    _law_doc([-1.5, math.inf]),
+    _law_doc([math.nan, 2.0, -math.inf]),
+    {"work": [], "probability": [], "final_p_excited": 0.0, "mean": 0.0,
+     "variance": 0.0},
+], ids=["one atom", "extreme values", "infinite variance", "std error",
+        "infinite std error", "infinite work", "nan and -inf", "empty"])
+def test_law_json_is_json_dumps_byte_for_byte(doc):
+    assert cli._law_json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("extra", [(), ("--samples", "20000", "--seed", "3")])
+def test_simulate_json_is_json_dumps_of_its_own_document(extra):
+    result = run("simulate", "--p-beta", "0.25", "--p-in", "0.1", "--p-out",
+                 "0.3", "--stage2-steps", "50", "--format", "json", *extra)
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.stdout)
+    assert len(doc["work"]) > 1
+    assert result.stdout == json.dumps(doc, indent=2) + "\n"
 
 
 def test_simulate_bad_file(tmp_path):

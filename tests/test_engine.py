@@ -723,6 +723,60 @@ def test_full_thermalization_arm_keeps_bits_on_stage2_path_laws(monkeypatch):
     assert _NotOne.compared > before
 
 
+def _assert_deferred_split_keeps_the_law(steps):
+    # On the lattice, PT(1) leaves its columns unformed until the next
+    # nonzero shift writes them into the cells; a swap, a thermalization or
+    # the end of the steps forms them first, and a zero shift waits.
+    assert engine._shift_lattice(steps) is not None
+    _assert_full_thermalization_arm_keeps_bits(steps)
+    proto = Protocol(CTX, steps)
+    for p in (0.0, 0.3, 1.0):
+        initial = QubitState(p)
+        dp = exact_work_distribution(proto, initial)
+        assert total_variation(
+            dp, brute_force_work_distribution(proto, initial), CTX) <= 1e-15
+        assert dp_final_occupation(proto, initial) == pytest.approx(
+            final_state(proto, initial).p_excited, abs=1e-15)
+
+
+# A lattice window of several cells at a gap where g != 1/2, then PT(1)
+# and the step that follows it; the suffix shifts back to the boundary.
+_SPLIT_PREFIX = [LT(0.5), PT(0.3), LT(-0.25), PT(0.6)]
+_SPLIT_SUFFIX = [LT(-0.5), PT(0.4), LT(0.25)]
+
+
+@pytest.mark.parametrize("middle", [
+    [PT(1.0), LT(0.25), PT(0.7), LT(-0.25)],
+    [PT(1.0), LT(-0.25), PT(0.7), LT(0.25)],
+    [PT(1.0), LT(0.0), PT(0.7)],
+    [LT(-0.25 - LN3), PT(1.0), BT(0.3), LT(0.25 + LN3)],
+    [PT(1.0), PT(0.5)],
+    [PT(1.0), PT(1.0)],
+], ids=["shift up", "shift down", "zero shift", "swap at zero gap",
+        "PT(0.5)", "PT(1)"])
+def test_deferred_full_thermalization_split(middle):
+    _assert_deferred_split_keeps_the_law(
+        _SPLIT_PREFIX + middle + _SPLIT_SUFFIX)
+
+
+@pytest.mark.parametrize("steps", [
+    _SPLIT_PREFIX + [PT(1.0)],
+    [PT(1.0), LT(0.5), PT(1.0), LT(-0.5)],
+], ids=["end", "before the first shift"])
+def test_deferred_full_thermalization_split_at_the_ends(steps):
+    _assert_deferred_split_keeps_the_law(steps)
+
+
+def test_mean_sums_the_products_in_atom_order():
+    for seed in range(50):
+        proto = random_protocol(seed, 12, 2.0, CTX)
+        dist = exact_work_distribution(proto, QubitState((seed % 11) / 10))
+        assert dist.mean == float(sum(
+            w * p for w, p in zip(dist.values, dist.probabilities)))
+    empty = WorkDistribution((), ())
+    assert empty.mean == 0.0 and type(empty.mean) is float
+
+
 def test_monte_carlo_single_sample():
     proto = build_thermalize_once(0.0, 1.0, CTX)
     result = monte_carlo(proto, QubitState(0.0), 1, seed=5)

@@ -22,7 +22,7 @@ from coarseops.protocol import (
     to_json,
     validate,
 )
-from coarseops.thermo import ThermalContext
+from coarseops.thermo import ThermalContext, energy_of_population
 
 CTX = ThermalContext(beta=1.0, e0=math.log(3))
 
@@ -121,6 +121,24 @@ def test_average_work_protocol_energies():
     assert energies[4] == pytest.approx(math.log(5 / 3), rel=1e-12)
     assert energies[-1] == pytest.approx(math.log(3), rel=1e-12)
     assert validate(proto).ok
+
+
+@pytest.mark.parametrize("p_in, rounds", [
+    (0.1, 1), (0.1, 2000), (CTX.p_beta, 3000), (0.9, 7)])
+def test_staged_builder_equals_the_protocol_built_step_by_step(p_in, rounds):
+    # The builder shares one shift and one thermalization across its rounds.
+    e_in = energy_of_population(p_in, CTX)
+    e_out = energy_of_population(0.3, CTX)
+    delta = (e_in - e_out) / rounds
+    steps = [LT(e_in - CTX.e0)]
+    for _ in range(rounds):
+        steps.append(LT(-delta))
+        steps.append(PT(1.0))
+    steps.append(LT(CTX.e0 - e_out))
+    expected = Protocol(CTX, steps)
+    proto = build_average_work_protocol(p_in, 0.3, CTX, rounds)
+    assert proto == expected
+    assert to_json(proto) == to_json(expected)
 
 
 def test_average_work_protocol_degenerate_is_noop():
