@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from coarseops import characterize, cli, engine, paths
+from coarseops import bounds, characterize, cli, engine, paths
 from coarseops.protocol import (
     PartialThermalization,
     Protocol,
@@ -72,6 +72,13 @@ def full_thermalizations(seed: int, max_steps: int) -> Protocol:
     return Protocol(CTX, [PartialThermalization(1.0)
                           if isinstance(s, PartialThermalization) else s
                           for s in steps])
+
+
+def shift_free(seed: int, ctx: ThermalContext) -> Protocol:
+    """One to six thermalizations at the boundary gap, some of them full: a
+    protocol without a level shift, so the DP builds no lattice."""
+    lams = np.random.default_rng(seed).choice([0.25, 0.5, 1.0], 1 + seed % 6)
+    return Protocol(ctx, [PartialThermalization(float(lam)) for lam in lams])
 
 
 def corpus(ctx: ThermalContext) -> list:
@@ -172,6 +179,15 @@ def main() -> None:
                      + (PartialThermalization(1.0),)),
             start(seed))
         for seed in range(300)))
+    # Shift-free laws and occupations, at a Gibbs weight that is denormal
+    # where beta*e0 = 720.
+    for e0 in (0.05, math.log(3), 3.0, 720.0):
+        ctx = ThermalContext(beta=1.0, e0=e0)
+        digest(f"dp.off_lattice.lam=1.e0={e0:g}", (
+            (engine.exact_work_distribution(shift_free(seed, ctx),
+                                            start(seed)),
+             engine.dp_final_occupation(shift_free(seed, ctx), start(seed)))
+            for seed in range(300)))
     digest("oracle.random_protocol.8", (
         engine.brute_force_work_distribution(
             random_protocol(seed, 8, 2.0, CTX), start(seed))
@@ -199,6 +215,19 @@ def main() -> None:
     digest("paths.enumerate_shrink.random_protocol.8", (
         repr((branches, [paths.shrink(p) for p in branches]))
         for branches in map(paths.enumerate_paths, protos)))
+
+    # Both stage-III margins and the simple-case lemma, with q within 1e-9
+    # of p_beta and at the edges of (0, 1).
+    for beta, e0 in ((1.0, 0.05), (1.0, math.log(3)), (0.5, 600.0)):
+        ctx = ThermalContext(beta=beta, e0=e0)
+        qs = ([i / 1000 for i in range(1, 1000)] + [1e-300, 1.0 - 2.0**-53]
+              + (ctx.p_beta * (1 + np.linspace(-1e-9, 1e-9, 41))).tolist())
+        digest(f"paths.stage3_margins.beta*e0={beta * e0:g}", (
+            (q, paths.epsilon_iii(q, ctx), paths.epsilon_iii_tilde(q, ctx))
+            for q in qs))
+        digest(f"bounds.lemma_simplecase.beta*e0={beta * e0:g}", (
+            (i, j, bounds.lemma_simplecase_bound(i / 100, j / 100, ctx))
+            for i in range(1, 100) for j in range(1, 50)))
 
     path_list = corpus(CTX)
     digest("paths.stage2", (paths.stage2_work_distribution(path)

@@ -81,9 +81,12 @@ def _stage_bound(p_in, p_out, ref, ctx, regime) -> NoGoBound:
 def lemma_simplecase_bound(
     p_in: float, p_out: float, ctx: ThermalContext
 ) -> tuple[float, float]:
-    """Simple-case loss bound for the staged quasi-static protocol: losing
-    at least (E(p_in) - E(p_out))/2 has probability at least
-    p_in * p_out * (1 - exp(-2 (1/2 - p_out)^2))."""
+    """Simple-case loss bound for the staged quasi-static protocol with
+    n >= 2 stage-II rounds: losing at least (E(p_in) - E(p_out))/2 has
+    probability at least p_in * p_out * (1 - exp(-2 (1/2 - p_out)^2)), the
+    last factor one minus hoeffding_tail(1, p_out).  It is false for one
+    round: at p_beta = 1/4, 0.025 -> 0.125 in one round loses at most
+    ln(7/3) = 0.847, below the threshold 0.8588."""
     if not 0.0 < p_in < 1.0:
         raise ValueError(f"p_in must lie strictly in (0, 1), got {p_in}")
     if not 0.0 < p_out < 0.5:
@@ -91,7 +94,7 @@ def lemma_simplecase_bound(
     threshold = (
         energy_of_population(p_in, ctx) - energy_of_population(p_out, ctx)
     ) / 2.0
-    prob = p_in * p_out * (1.0 - math.exp(-2.0 * (0.5 - p_out) ** 2))
+    prob = p_in * p_out * (1.0 - hoeffding_tail(1, p_out))
     return threshold, prob
 
 

@@ -1,39 +1,29 @@
 """Exact and sampled evaluation of a protocol.
 
-The exact law of the work random variable is computed by one dynamic
-program over (occupation bit, accumulated work), `_run_dp`, which serves
-protocols and resolved paths alike.  It and the population recursion
-`_final_population` read each step's gap from their caller (a protocol's
-`energy_trajectory()`, a path's stored gaps) and sum no increments.  Until
-the first level shift the support is one atom at work 0, held as plain
-floats, and `WorkDistribution.from_atoms` returns that one atom without an
-array, a sort or a merge.  A full thermalization (lam = 1) forgets the
-occupation: each occupation column becomes its Gibbs weight times the
-total.  While the protocol's lattice of signed shift counts, one axis per
-distinct |delta_e|, has at most 32 cells per level shift and at most
-ATOM_CAP cells (`_shift_lattice`), the DP holds the support as
-that dense lattice: a level shift moves mass by an index stride, and one
-after a full thermalization writes the two products straight into its
-cells; the work value of each cell of positive mass is formed once at
-the end, and the one merge is the final one in
-`WorkDistribution.from_atoms`, a stable sort in cell order and hence
-deterministic.  Otherwise a level shift moves only
-the atoms with occupied mass, keeps those with unoccupied mass, and merges,
-by `_merge_atoms`, each run of atoms with gaps below MERGE_TOL / beta into
-one atom at first + sum p*(v - first) / sum p.  No work value is formed
-without mass, so a work past the float range is one the law carries.
-Tolerances in units of 1/beta make the law of beta*W a function of beta*E.  An
-exhaustive branch enumeration, run as a breadth-first frontier of branch
-arrays that shares no code with the DP, serves as an independent oracle,
-and a seeded counter-based Monte Carlo handles protocols past ATOM_CAP,
-the size budget that every exhaustive structure shares.  The sampler reads
-each step's raw Philox words when the step runs and decides every branch
-on integer thresholds that agree exactly with numpy's uniform doubles, so
-it follows the stream of Generator.random bit for bit without forming a
-double.  It runs each chunk as contiguous slices of whole 4-word Philox
-blocks, one per CPU the process may use, each on its own thread reading
-its own stretch of the chunk's counter-based stream, so its bits do not
-depend on the number of CPUs.
+A map of the module; each function's docstring states its rules.
+
+* Work laws: `WorkDistribution`, whose `from_atoms` drops the atoms
+  without mass and merges the rest by `_merge_atoms` at MERGE_TOL / beta;
+  `prob_work_at_most` and `total_variation` read them.
+* The exact DP: `_run_dp`, the one kernel over (occupation, work) for
+  protocols and resolved paths, on the shift-count lattice of
+  `_shift_lattice` or, past it, with a merge after every level shift.
+  `exact_work_distribution` and `dp_final_occupation` call it.
+* The population recursion: `_final_population`, and `final_state`.
+* The oracle: `brute_force_work_distribution`, a breadth-first branch
+  enumeration that shares no code with the DP.
+* The sampler: `monte_carlo`, seeded and counter-based, for laws past
+  ATOM_CAP.  `_word_limit` and `_uniform_below` decide each branch on raw
+  Philox words; `_slice_starts`, `_sample_slice` and `_in_threads` run a
+  chunk as one slice per CPU (`_usable_cpus`) with the same bits.
+* Budgets: MERGE_TOL, ATOM_CAP (`_check_budget` raises `ResourceError`)
+  and _LATTICE_CELLS_PER_SHIFT.
+
+The DP and the population recursion read each step's gap from their
+caller (a protocol's `energy_trajectory()`, a path's stored gaps) and sum
+no increments.  No engine forms a work value for a branch without mass.
+Tolerances are in units of 1/beta, so the law of beta*W is a function of
+beta*E.
 """
 
 from __future__ import annotations
@@ -234,15 +224,15 @@ def _run_dp(steps, gaps, ctx, p: float):
     gaps[i] the gap at step i, as parallel arrays: work values with their
     mass split by final occupation.  Thermalizations and swaps mix the two
     occupation columns atom by atom; only level shifts move mass between
-    work values (the occupied column pays -delta_e).  At lam = 1 each column
-    becomes its Gibbs weight times the total, in 3 array operations where
-    the general arm takes 7, with the same bits: the masses are finite and
-    their total is never -0.0, so 0*x + y == y, and 1*(1 - g) == 1 - g.
-    On the lattice the two products wait, as (total, g), for the next step:
-    a nonzero shift writes them straight into its cells, a zero shift
-    leaves them waiting, and any other step, or the end of the steps,
-    forms the columns first.  Each cell gets the same two products, so the
-    bits are those of forming the columns and copying them in.
+    work values (the occupied column pays -delta_e).  On the lattice a full
+    thermalization (lam = 1) forms no columns: its two products, (1 - g) *
+    total and g * total, wait as (total, g) for the next step.  A nonzero
+    shift writes them straight into its cells, a zero shift leaves them
+    waiting, and any other step, or the end of the steps, forms the
+    columns first.  Each cell gets the same two products, so the bits are
+    those of the general arm, which forms them elsewhere: the masses are
+    finite and their total is never -0.0, so 0*x + y == y, and 1*(1 - g)
+    == 1 - g.
 
     Until the first level shift the support is the one atom at work 0, so
     the columns are plain floats, with the same IEEE results as one-element
@@ -275,11 +265,8 @@ def _run_dp(steps, gaps, ctx, p: float):
             g = gibbs_population(e, ctx)
             lam = step.lam
             total = unocc + occ
-            if lam == 1.0:
-                if lattice is not None:
-                    split = g
-                else:
-                    unocc, occ = (1.0 - g) * total, g * total
+            if lam == 1.0 and lattice is not None:
+                split = g
             else:
                 unocc = (1.0 - lam) * unocc + lam * (1.0 - g) * total
                 occ = (1.0 - lam) * occ + lam * g * total

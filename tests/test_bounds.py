@@ -31,7 +31,10 @@ from coarseops.paths import (
     epsilon_iii_tilde,
     path_work_distribution,
 )
-from coarseops.protocol import build_thermalize_once
+from coarseops.protocol import (
+    build_average_work_protocol,
+    build_thermalize_once,
+)
 from coarseops.thermo import (
     QubitState,
     ThermalContext,
@@ -66,6 +69,41 @@ def test_simplecase_probability_vanishes_at_half():
         lemma_simplecase_bound(0.1, 0.5, CTX)
     with pytest.raises(ValueError):
         lemma_simplecase_bound(0.0, 0.3, CTX)
+
+
+def test_simplecase_lemma_is_false_for_one_round():
+    # Kept on record, like verify's variance_area_refutation: stage I
+    # raises the gap by ln 13 and the one stage-II shift gives back
+    # ln(39/7) to a branch still occupied, so the worst loss is ln(7/3).
+    p_in, p_out = 0.025, 0.125
+    threshold, bound = lemma_simplecase_bound(p_in, p_out, CTX)
+    assert threshold == pytest.approx(math.log(39 / 7) / 2, rel=1e-14)
+    assert bound == pytest.approx(7.66e-4, rel=1e-3)
+    dist = exact_work_distribution(
+        build_average_work_protocol(p_in, p_out, CTX, 1), QubitState(p_in))
+    assert dist.values[0] == pytest.approx(-math.log(7 / 3), rel=1e-12)
+    assert prob_work_at_most(dist, -threshold, CTX) == 0.0
+
+
+@pytest.mark.parametrize("beta_e0", [0.05, 0.5, math.log(3), 3.0],
+                         ids=["0.05", "0.5", "ln3", "3"])
+def test_simplecase_lemma_holds_from_two_rounds(beta_e0):
+    # The lemma's domain: the staged protocol with n >= 2 rounds, on the
+    # i/40 grid with p_in != p_out and p_out < 1/2.  The one-round protocol
+    # fails the lemma on 77, 103, 79 and 2 of these cells.
+    ctx = ThermalContext(beta=1.0, e0=beta_e0)
+    for i in range(1, 40):
+        for j in range(1, 20):
+            if i == j:
+                continue
+            p_in, p_out = i / 40, j / 40
+            threshold, bound = lemma_simplecase_bound(p_in, p_out, ctx)
+            for n in (2, 3, 10):
+                dist = exact_work_distribution(
+                    build_average_work_protocol(p_in, p_out, ctx, n),
+                    QubitState(p_in))
+                measured = prob_work_at_most(dist, -threshold, ctx)
+                assert measured >= bound, (p_in, p_out, n, measured, bound)
 
 
 def test_hoeffding_examples():

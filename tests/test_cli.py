@@ -469,6 +469,28 @@ def test_verify_forks_nothing_while_another_thread_runs(monkeypatch):
     assert len(forks) == len(verify._CHECKS) - 1
 
 
+def test_verify_ignores_the_fork_warning_of_python_3_12(monkeypatch):
+    # Python 3.12 and later warn in the parent when os.fork runs beside
+    # other OS threads.  Under the suite's filterwarnings = error, that
+    # warning would raise after the child started, and leave it unreaped.
+    forks = []
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+            warnings.warn("This process is multi-threaded, use of fork() may "
+                          "lead to deadlocks in the child.",
+                          DeprecationWarning, stacklevel=2)
+        return pid
+
+    one = _verify_at(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", warning_fork)
+    assert _verify_at(monkeypatch, 3) == one
+    assert len(forks) == 2
+
+
 def _patch_check(monkeypatch, index, check):
     checks = list(verify._CHECKS)
     checks[index] = (checks[index][0], check)

@@ -688,8 +688,9 @@ def test_full_thermalization_arm_keeps_bits_on_staged_protocols(rounds):
 
 
 def test_full_thermalization_arm_keeps_bits_on_random_protocols():
-    # Every lambda set to 1: the float columns before the first shift, the
-    # lattice window and the merge fallback all take the arm.
+    # Every lambda set to 1, on both layouts: the lattice, where PT(1)
+    # defers its split (also before the first shift), and the merge
+    # fallback, which mixes at every lambda.
     layouts = set()
     for seed in range(300):
         steps = [PT(1.0) if isinstance(s, PT) else s
