@@ -26,7 +26,9 @@ import numpy as np
 
 from coarseops import bounds, characterize, cli, engine, paths
 from coarseops.protocol import (
-    PartialThermalization,
+    BistochasticTransformation as BT,
+    LevelTransformation as LT,
+    PartialThermalization as PT,
     Protocol,
     build_average_work_protocol,
     random_protocol,
@@ -69,16 +71,40 @@ def start(seed: int) -> QubitState:
 def full_thermalizations(seed: int, max_steps: int) -> Protocol:
     """random_protocol with every lambda set to 1, which it never draws."""
     steps = random_protocol(seed, max_steps, 2.0, CTX).steps
-    return Protocol(CTX, [PartialThermalization(1.0)
-                          if isinstance(s, PartialThermalization) else s
-                          for s in steps])
+    return Protocol(CTX, [PT(1.0) if isinstance(s, PT) else s for s in steps])
 
 
 def shift_free(seed: int, ctx: ThermalContext) -> Protocol:
     """One to six thermalizations at the boundary gap, some of them full: a
     protocol without a level shift, so the DP builds no lattice."""
     lams = np.random.default_rng(seed).choice([0.25, 0.5, 1.0], 1 + seed % 6)
-    return Protocol(ctx, [PartialThermalization(float(lam)) for lam in lams])
+    return Protocol(ctx, [PT(float(lam)) for lam in lams])
+
+
+def run_edges() -> list:
+    """Step lists whose runs of (nonzero shift, PT(1)) pairs, which the DP
+    takes on one column, start, stop or stride at an edge: one pair; cut
+    by a lone shift, LT(0), a swap at zero gap or PT(0.5); ending at the
+    last step; before the first shift, with mixed signs and a stride wider
+    than the window; and where the Gibbs population is subnormal."""
+    ln3 = math.log(3)
+    prefix = [LT(0.5), PT(0.3), LT(-0.25), PT(0.6)]
+    suffix = [LT(-0.5), PT(0.4), LT(0.25)]
+    middles = [
+        [PT(1.0), LT(0.25), PT(1.0), LT(-0.25), PT(0.7)],
+        [PT(1.0), LT(0.25), PT(1.0), LT(0.0), LT(-0.25), PT(1.0), LT(0.0),
+         PT(1.0), PT(0.7)],
+        [LT(-0.25 - ln3), PT(1.0), LT(0.25), PT(1.0), LT(-0.25), PT(1.0),
+         BT(0.3), LT(0.25 + ln3)],
+        [PT(1.0), LT(0.25), PT(1.0), LT(-0.25), PT(1.0), PT(0.5)],
+    ]
+    return [prefix + middle + suffix for middle in middles] + [
+        prefix + [PT(1.0), LT(0.25), PT(1.0), LT(-0.5), PT(1.0)],
+        [PT(1.0), LT(0.25), PT(1.0), LT(0.5), PT(1.0), LT(-0.5), PT(1.0),
+         LT(-0.25)],
+        [LT(720.0 - ln3), PT(1.0), LT(0.25), PT(1.0), LT(-0.25), PT(1.0),
+         LT(ln3 - 720.0)],
+    ]
 
 
 def corpus(ctx: ThermalContext) -> list:
@@ -176,7 +202,7 @@ def main() -> None:
     digest("dp.lam=1.ends_in_PT", (
         engine.exact_work_distribution(
             Protocol(CTX, full_thermalizations(seed, 40).steps
-                     + (PartialThermalization(1.0),)),
+                     + (PT(1.0),)),
             start(seed))
         for seed in range(300)))
     # Shift-free laws and occupations, at a Gibbs weight that is denormal
@@ -210,6 +236,21 @@ def main() -> None:
             build_average_work_protocol(p_in, 0.3, CTX, rounds),
             QubitState(p_in))
         for p_in, rounds in ((CTX.p_beta, 3000), (0.1, 2000))))
+    digest("dp.runs.edges", (
+        (engine.exact_work_distribution(Protocol(CTX, steps), QubitState(p)),
+         engine.dp_final_occupation(Protocol(CTX, steps), QubitState(p)))
+        for steps in run_edges() for p in (0.0, 0.3, 1.0)))
+    # Staged runs away from p_beta = 1/4, one from the thermal start.
+    for e0 in (0.05, 3.0):
+        ctx = ThermalContext(beta=1.0, e0=e0)
+        digest(f"dp.staged.beta*e0={e0:g}", (
+            (engine.exact_work_distribution(proto, QubitState(p_in)),
+             engine.dp_final_occupation(proto, QubitState(p_in)))
+            for p_in, p_out, rounds in ((ctx.p_beta, 0.3, 1000),
+                                        (0.1, 0.45, 500), (0.9, 0.05, 300),
+                                        (0.3, 0.2, 1))
+            for proto in [build_average_work_protocol(p_in, p_out, ctx,
+                                                      rounds)]))
 
     protos = [random_protocol(seed, 8, 2.0, CTX) for seed in range(300)]
     digest("paths.enumerate_shrink.random_protocol.8", (

@@ -7,7 +7,9 @@ A map of the module; each function's docstring states its rules.
   `prob_work_at_most` and `total_variation` read them.
 * The exact DP: `_run_dp`, the one kernel over (occupation, work) for
   protocols and resolved paths, on the shift-count lattice of
-  `_shift_lattice` or, past it, with a merge after every level shift.
+  `_shift_lattice` or, past it, with a merge after every level shift;
+  on the lattice, `_thermalization_run` takes each run of (level shift,
+  full thermalization) pairs on one column in place.
   `exact_work_distribution` and `dp_final_occupation` call it.
 * The population recursion: `_final_population`, and `final_state`.
 * The oracle: `brute_force_work_distribution`, a breadth-first branch
@@ -219,6 +221,50 @@ def _shift_lattice(steps):
     return axes, cells, origin
 
 
+def _thermalization_run(steps, gaps, i, ctx, strides, column, spare,
+                        lo, hi, g, total):
+    """The run of (nonzero level shift, full thermalization) pairs that
+    opens at step i, on _run_dp's lattice, where the split g of a full
+    thermalization waits on `total` over cells [lo, hi).  The run keeps one
+    column, the total, in `column`: each pair is the two-point update
+    total'[c] = (1 - g) * total[c] + g * total[c - s], for the shift's
+    signed stride s, done in place with spare[lo:hi] holding the products
+    g * total, and then the pair's own Gibbs weight waits.  The bits are
+    those of writing the two columns and summing them at the next
+    thermalization: each cell gets the same two products and the same IEEE
+    addition, which commutes.  A cell the shift vacates keeps (1 - g) *
+    total[c], which adding its occupied +0.0 gives there, as no mass is
+    -0.0; a cell it newly reaches adds onto the +0.0 it holds here.
+    spare keeps products inside the window, which the column writes
+    after the run always cover.  Returns the index past the run, the
+    window, the waiting weight and its total, a view of column."""
+    column[lo:hi] = total
+    total = column[lo:hi]
+    n = len(steps)
+    while True:
+        delta = steps[i].delta_e
+        products = spare[lo:hi]
+        np.multiply(total, g, out=products)
+        np.multiply(total, 1.0 - g, out=total)
+        if delta > 0.0:
+            s = strides[delta]
+            target = column[lo + s:hi + s]
+            hi += s
+        else:
+            s = strides[-delta]
+            target = column[lo - s:hi - s]
+            lo -= s
+        np.add(target, products, out=target)
+        total = column[lo:hi]
+        g = gibbs_population(gaps[i + 1], ctx)
+        i += 2
+        if not (i + 1 < n and isinstance(steps[i], LevelTransformation)
+                and steps[i].delta_e != 0.0
+                and isinstance(steps[i + 1], PartialThermalization)
+                and steps[i + 1].lam == 1.0):
+            return i, lo, hi, g, total
+
+
 def _run_dp(steps, gaps, ctx, p: float):
     """Exact work law of a step sequence from excited population p, with
     gaps[i] the gap at step i, as parallel arrays: work values with their
@@ -227,12 +273,15 @@ def _run_dp(steps, gaps, ctx, p: float):
     work values (the occupied column pays -delta_e).  On the lattice a full
     thermalization (lam = 1) forms no columns: its two products, (1 - g) *
     total and g * total, wait as (total, g) for the next step.  A nonzero
-    shift writes them straight into its cells, a zero shift leaves them
-    waiting, and any other step, or the end of the steps, forms the
-    columns first.  Each cell gets the same two products, so the bits are
-    those of the general arm, which forms them elsewhere: the masses are
-    finite and their total is never -0.0, so 0*x + y == y, and 1*(1 - g)
-    == 1 - g.
+    shift followed by a full thermalization opens a run of such pairs,
+    which _thermalization_run takes on one column in place.  A lone
+    nonzero shift writes the products straight into its cells, the
+    occupied one first, as after a run the total is the unoccupied
+    column's window; a zero shift leaves them waiting, and any other step,
+    or the end of the steps, forms the columns first.  Each cell gets the
+    same two products, so the bits are those of the general arm, which
+    forms them elsewhere: the masses are finite and their total is never
+    -0.0, so 0*x + y == y, and 1*(1 - g) == 1 - g.
 
     Until the first level shift the support is the one atom at work 0, so
     the columns are plain floats, with the same IEEE results as one-element
@@ -258,7 +307,10 @@ def _run_dp(steps, gaps, ctx, p: float):
         strides = {m: stride for m, stride, _, _ in axes}
         hi = lo + 1
         cell_unocc, cell_occ = np.zeros(cells), np.zeros(cells)
-    for step, e in zip(steps, gaps):
+    i, n = 0, len(steps)
+    while i < n:
+        step, e = steps[i], gaps[i]
+        i += 1
         if split is not None and not isinstance(step, LevelTransformation):
             unocc, occ, split = (1.0 - split) * total, split * total, None
         if isinstance(step, PartialThermalization):
@@ -278,6 +330,13 @@ def _run_dp(steps, gaps, ctx, p: float):
             )
         elif step.delta_e != 0.0:
             if lattice is not None:
+                if (split is not None and i < n
+                        and isinstance(steps[i], PartialThermalization)
+                        and steps[i].lam == 1.0):
+                    i, lo, hi, split, total = _thermalization_run(
+                        steps, gaps, i - 1, ctx, strides, cell_unocc,
+                        cell_occ, lo, hi, split, total)
+                    continue
                 s = strides[abs(step.delta_e)]
                 if step.delta_e > 0:
                     shifted = slice(lo + s, hi + s)
@@ -289,8 +348,8 @@ def _run_dp(steps, gaps, ctx, p: float):
                     cell_unocc[lo:hi] = unocc
                     cell_occ[shifted] = occ
                 else:
-                    np.multiply(total, 1.0 - split, out=cell_unocc[lo:hi])
                     np.multiply(total, split, out=cell_occ[shifted])
+                    np.multiply(total, 1.0 - split, out=cell_unocc[lo:hi])
                     split = None
                 cell_occ[vacated] = 0.0
                 lo, hi = min(lo, shifted.start), max(hi, shifted.stop)

@@ -23,7 +23,13 @@ from coarseops.bounds import (
     theorem_rev_bound,
     theorem_same_side,
 )
-from coarseops.engine import exact_work_distribution, prob_work_at_most
+from coarseops.characterize import classify_transition
+from coarseops.engine import (
+    brute_force_work_distribution,
+    exact_work_distribution,
+    final_state,
+    prob_work_at_most,
+)
 from coarseops.paths import (
     Path,
     Tag,
@@ -32,6 +38,9 @@ from coarseops.paths import (
     path_work_distribution,
 )
 from coarseops.protocol import (
+    BistochasticTransformation,
+    LevelTransformation,
+    Protocol,
     build_average_work_protocol,
     build_thermalize_once,
 )
@@ -562,3 +571,52 @@ def test_rev_bound_holds_for_thermalize_once_protocols():
         dist = exact_work_distribution(proto, QubitState(p_in))
         measured = prob_work_at_most(dist, -bound.work_threshold, CTX)
         assert measured >= bound.probability_lower_bound, (p_in, p_out)
+
+
+def test_rev_bound_is_false_for_an_inverted_input_at_small_beta_e0():
+    # Kept on record, like test_simplecase_lemma_is_false_for_one_round:
+    # at beta*e0 = 0.2, lowering the gap to zero, swapping fully and raising
+    # it back realizes 0.9 -> 0.1, and its worst loss, e0, is below the A7
+    # threshold that the classifier attaches to the transition.
+    ctx = ThermalContext(beta=1.0, e0=0.2)
+    p_in = 0.9
+    swap = Protocol(ctx, [LevelTransformation(-0.2),
+                          BistochasticTransformation(1.0),
+                          LevelTransformation(0.2)])
+    p_out = final_state(swap, QubitState(p_in)).p_excited
+    assert p_out == 1.0 - p_in == 0.09999999999999998
+    verdict = classify_transition(p_in, p_out, ctx)
+    assert verdict.verdict == "forbidden" and verdict.bound.regime == "A7"
+    threshold = verdict.bound.work_threshold
+    assert threshold == pytest.approx(0.5227, abs=5e-5)
+    assert verdict.bound.probability_lower_bound == pytest.approx(1.4669e-3,
+                                                                  abs=5e-8)
+    dist = exact_work_distribution(swap, QubitState(p_in))
+    assert dist == brute_force_work_distribution(swap, QubitState(p_in))
+    assert dist.values == (-0.2, 0.2)
+    assert dist.probabilities == (1.0 - p_in, p_in)
+    assert prob_work_at_most(dist, -threshold, ctx) == 0.0
+
+
+@pytest.mark.parametrize("beta_e0, cells", [
+    (0.05, 361), (0.5, 381), (math.log(3), 480), (3.0, 703)],
+    ids=["0.05", "0.5", "ln3", "3"])
+def test_same_side_bound_holds_for_thermalize_once_protocols(beta_e0, cells):
+    # Every A8 cell of the i/40 grid with 0 < p_out < 1, realized by
+    # thermalizing once at E(p_out).  The smallest measured/bound ratio is
+    # 37.7, 55.2, 46.7 and 21.8.
+    ctx = ThermalContext(beta=1.0, e0=beta_e0)
+    tested = 0
+    for i in range(41):
+        for j in range(1, 40):
+            p_in, p_out = i / 40, j / 40
+            if not (ctx.p_beta <= p_in < p_out or ctx.p_beta >= p_in > p_out):
+                continue
+            bound = theorem_same_side(p_in, p_out, ctx)
+            proto = build_thermalize_once(energy_of_population(p_out, ctx),
+                                          1.0, ctx)
+            dist = exact_work_distribution(proto, QubitState(p_in))
+            measured = prob_work_at_most(dist, -bound.work_threshold, ctx)
+            assert measured >= bound.probability_lower_bound, (p_in, p_out)
+            tested += 1
+    assert tested == cells

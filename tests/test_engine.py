@@ -681,9 +681,30 @@ def _assert_full_thermalization_arm_keeps_bits(steps, ctx=CTX,
                 == dp_final_occupation(general, initial))
 
 
+def _pairs_per_run(monkeypatch, steps):
+    """The number of (shift, full thermalization) pairs of each run that
+    _run_dp takes on one column (engine._thermalization_run)."""
+    pairs, run = [], engine._thermalization_run
+
+    def spy(steps, gaps, i, *rest):
+        out = run(steps, gaps, i, *rest)
+        pairs.append((out[0] - i) // 2)
+        return out
+
+    proto = Protocol(CTX, steps)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_thermalization_run", spy)
+        engine._run_dp(proto.steps, proto.energy_trajectory(), CTX, 0.3)
+    return pairs
+
+
 @pytest.mark.parametrize("rounds", [200, 2000])
-def test_full_thermalization_arm_keeps_bits_on_staged_protocols(rounds):
+def test_full_thermalization_arm_keeps_bits_on_staged_protocols(monkeypatch,
+                                                                rounds):
+    # Stage II's first PT(1) waits; every later round is one pair of the
+    # one run, which stops at stage III's shift.
     proto = build_average_work_protocol(0.1, 0.3, CTX, rounds)
+    assert _pairs_per_run(monkeypatch, proto.steps) == [rounds - 1]
     _assert_full_thermalization_arm_keeps_bits(proto.steps)
 
 
@@ -724,11 +745,13 @@ def test_full_thermalization_arm_keeps_bits_on_stage2_path_laws(monkeypatch):
     assert _NotOne.compared > before
 
 
-def _assert_deferred_split_keeps_the_law(steps):
+def _assert_deferred_split_keeps_the_law(monkeypatch, steps, runs):
     # On the lattice, PT(1) leaves its columns unformed until the next
-    # nonzero shift writes them into the cells; a swap, a thermalization or
+    # nonzero shift writes them into the cells, or a run of (nonzero shift,
+    # PT(1)) pairs carries them on one column; a swap, a thermalization or
     # the end of the steps forms them first, and a zero shift waits.
     assert engine._shift_lattice(steps) is not None
+    assert _pairs_per_run(monkeypatch, steps) == runs
     _assert_full_thermalization_arm_keeps_bits(steps)
     proto = Protocol(CTX, steps)
     for p in (0.0, 0.3, 1.0):
@@ -741,31 +764,50 @@ def _assert_deferred_split_keeps_the_law(steps):
 
 
 # A lattice window of several cells at a gap where g != 1/2, then PT(1)
-# and the step that follows it; the suffix shifts back to the boundary.
+# and the steps that follow it; the suffix shifts back to the boundary.
 _SPLIT_PREFIX = [LT(0.5), PT(0.3), LT(-0.25), PT(0.6)]
 _SPLIT_SUFFIX = [LT(-0.5), PT(0.4), LT(0.25)]
 
 
-@pytest.mark.parametrize("middle", [
-    [PT(1.0), LT(0.25), PT(0.7), LT(-0.25)],
-    [PT(1.0), LT(-0.25), PT(0.7), LT(0.25)],
-    [PT(1.0), LT(0.0), PT(0.7)],
-    [LT(-0.25 - LN3), PT(1.0), BT(0.3), LT(0.25 + LN3)],
-    [PT(1.0), PT(0.5)],
-    [PT(1.0), PT(1.0)],
+@pytest.mark.parametrize("middle, runs", [
+    ([PT(1.0), LT(0.25), PT(0.7), LT(-0.25)], []),
+    ([PT(1.0), LT(-0.25), PT(0.7), LT(0.25)], []),
+    ([PT(1.0), LT(0.0), PT(0.7)], []),
+    ([LT(-0.25 - LN3), PT(1.0), BT(0.3), LT(0.25 + LN3)], []),
+    ([PT(1.0), PT(0.5)], []),
+    ([PT(1.0), PT(1.0)], []),
+    ([PT(1.0), LT(0.25), PT(1.0), LT(-0.25), PT(0.7)], [1]),
+    ([PT(1.0), LT(0.25), PT(1.0), LT(0.0), LT(-0.25), PT(1.0), LT(0.0),
+      PT(1.0), PT(0.7)], [1, 1]),
+    ([LT(-0.25 - LN3), PT(1.0), LT(0.25), PT(1.0), LT(-0.25), PT(1.0),
+      BT(0.3), LT(0.25 + LN3)], [2]),
+    ([PT(1.0), LT(0.25), PT(1.0), LT(-0.25), PT(1.0), PT(0.5)], [2]),
 ], ids=["shift up", "shift down", "zero shift", "swap at zero gap",
-        "PT(0.5)", "PT(1)"])
-def test_deferred_full_thermalization_split(middle):
+        "PT(0.5)", "PT(1)", "run of one pair, then a lone shift",
+        "runs cut by a zero shift", "run cut by a swap at zero gap",
+        "run of mixed signs cut by PT(0.5)"])
+def test_deferred_full_thermalization_split(monkeypatch, middle, runs):
     _assert_deferred_split_keeps_the_law(
-        _SPLIT_PREFIX + middle + _SPLIT_SUFFIX)
+        monkeypatch, _SPLIT_PREFIX + middle + _SPLIT_SUFFIX, runs)
 
 
-@pytest.mark.parametrize("steps", [
-    _SPLIT_PREFIX + [PT(1.0)],
-    [PT(1.0), LT(0.5), PT(1.0), LT(-0.5)],
-], ids=["end", "before the first shift"])
-def test_deferred_full_thermalization_split_at_the_ends(steps):
-    _assert_deferred_split_keeps_the_law(steps)
+@pytest.mark.parametrize("steps, runs", [
+    (_SPLIT_PREFIX + [PT(1.0)], []),
+    ([PT(1.0), LT(0.5), PT(1.0), LT(-0.5)], [1]),
+    (_SPLIT_PREFIX + [PT(1.0), LT(0.25), PT(1.0), LT(-0.5), PT(1.0)], [2]),
+    # Axis 0.5 has stride 1 and axis 0.25 stride 3, so the run's first
+    # shift moves the one-cell window past itself.
+    ([PT(1.0), LT(0.25), PT(1.0), LT(0.5), PT(1.0), LT(-0.5), PT(1.0),
+      LT(-0.25)], [3]),
+    # Gaps 720 and 720.25, where the Gibbs population is subnormal.
+    ([LT(720.0 - LN3), PT(1.0), LT(0.25), PT(1.0), LT(-0.25), PT(1.0),
+      LT(LN3 - 720.0)], [2]),
+], ids=["end", "before the first shift", "run to the last step",
+        "run of mixed signs before the first shift, wider than the window",
+        "run where g is subnormal"])
+def test_deferred_full_thermalization_split_at_the_ends(monkeypatch, steps,
+                                                        runs):
+    _assert_deferred_split_keeps_the_law(monkeypatch, steps, runs)
 
 
 def test_mean_sums_the_products_in_atom_order():
