@@ -82,11 +82,12 @@ def shift_free(seed: int, ctx: ThermalContext) -> Protocol:
 
 
 def run_edges() -> list:
-    """Step lists whose runs of (nonzero shift, PT(1)) pairs, which the DP
-    takes on one column, start, stop or stride at an edge: one pair; cut
-    by a lone shift, LT(0), a swap at zero gap or PT(0.5); ending at the
-    last step; before the first shift, with mixed signs and a stride wider
-    than the window; and where the Gibbs population is subnormal."""
+    """Step lists whose runs, each a PT(1) and the (nonzero shift, PT(1))
+    pairs after it, which the DP takes on one column, start, stop or
+    stride at an edge: one pair; cut by a lone shift, LT(0), a swap at zero
+    gap or PT(0.5); ending at the last step; before the first shift, with
+    mixed signs and a stride wider than the window; and where the Gibbs
+    population is subnormal."""
     ln3 = math.log(3)
     prefix = [LT(0.5), PT(0.3), LT(-0.25), PT(0.6)]
     suffix = [LT(-0.5), PT(0.4), LT(0.25)]

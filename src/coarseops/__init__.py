@@ -31,7 +31,6 @@ from coarseops.protocol import (
     build_average_work_protocol,
     build_pure_excited_reset,
     build_thermalize_once,
-    normalize,
     validate,
 )
 from coarseops.thermo import (
@@ -61,7 +60,6 @@ __all__ = [
     "BistochasticTransformation",
     "Protocol",
     "validate",
-    "normalize",
     "build_average_work_protocol",
     "build_thermalize_once",
     "build_pure_excited_reset",

@@ -8,8 +8,9 @@ A map of the module; each function's docstring states its rules.
 * The exact DP: `_run_dp`, the one kernel over (occupation, work) for
   protocols and resolved paths, on the shift-count lattice of
   `_shift_lattice` or, past it, with a merge after every level shift;
-  on the lattice, `_thermalization_run` takes each run of (level shift,
-  full thermalization) pairs on one column in place.
+  on the lattice, `_thermalization_run` takes each full thermalization,
+  with the run of (level shift, full thermalization) pairs after it, on
+  one column in place.
   `exact_work_distribution` and `dp_final_occupation` call it.
 * The population recursion: `_final_population`, and `final_state`.
 * The oracle: `brute_force_work_distribution`, a breadth-first branch
@@ -222,26 +223,30 @@ def _shift_lattice(steps):
 
 
 def _thermalization_run(steps, gaps, i, ctx, strides, column, spare,
-                        lo, hi, g, total):
-    """The run of (nonzero level shift, full thermalization) pairs that
-    opens at step i, on _run_dp's lattice, where the split g of a full
-    thermalization waits on `total` over cells [lo, hi).  The run keeps one
-    column, the total, in `column`: each pair is the two-point update
-    total'[c] = (1 - g) * total[c] + g * total[c - s], for the shift's
-    signed stride s, done in place with spare[lo:hi] holding the products
-    g * total, and then the pair's own Gibbs weight waits.  The bits are
-    those of writing the two columns and summing them at the next
-    thermalization: each cell gets the same two products and the same IEEE
-    addition, which commutes.  A cell the shift vacates keeps (1 - g) *
-    total[c], which adding its occupied +0.0 gives there, as no mass is
-    -0.0; a cell it newly reaches adds onto the +0.0 it holds here.
-    spare keeps products inside the window, which the column writes
-    after the run always cover.  Returns the index past the run, the
-    window, the waiting weight and its total, a view of column."""
+                        lo, hi, total):
+    """A full thermalization at step i on _run_dp's lattice, over cells
+    [lo, hi) whose columns sum to `total`, and the (nonzero level shift,
+    full thermalization) pairs that follow it.  The run keeps one column,
+    the total, in `column`: each pair is the two-point update total'[c] =
+    (1 - g) * total[c] + g * total[c - s], for the Gibbs weight g of the
+    thermalization before it and the shift's signed stride s, done in place
+    with spare[lo:hi] holding the products g * total.  The bits are those
+    of forming the two columns and summing them at the next thermalization:
+    each cell gets the same two products and the same IEEE addition, which
+    commutes.  A cell the shift vacates keeps (1 - g) * total[c], which
+    adding its occupied +0.0 gives there, as no mass is -0.0; a cell it
+    newly reaches adds onto the +0.0 it holds here.  spare keeps products
+    inside the window, which the column writes after the run always cover.
+    Returns the index past the run, the window and the last
+    thermalization's two columns, (1 - g) * total and g * total."""
     column[lo:hi] = total
     total = column[lo:hi]
-    n = len(steps)
-    while True:
+    g = gibbs_population(gaps[i], ctx)
+    i, n = i + 1, len(steps)
+    while (i + 1 < n and isinstance(steps[i], LevelTransformation)
+           and steps[i].delta_e != 0.0
+           and isinstance(steps[i + 1], PartialThermalization)
+           and steps[i + 1].lam == 1.0):
         delta = steps[i].delta_e
         products = spare[lo:hi]
         np.multiply(total, g, out=products)
@@ -258,11 +263,7 @@ def _thermalization_run(steps, gaps, i, ctx, strides, column, spare,
         total = column[lo:hi]
         g = gibbs_population(gaps[i + 1], ctx)
         i += 2
-        if not (i + 1 < n and isinstance(steps[i], LevelTransformation)
-                and steps[i].delta_e != 0.0
-                and isinstance(steps[i + 1], PartialThermalization)
-                and steps[i + 1].lam == 1.0):
-            return i, lo, hi, g, total
+    return i, lo, hi, (1.0 - g) * total, g * total
 
 
 def _run_dp(steps, gaps, ctx, p: float):
@@ -271,21 +272,15 @@ def _run_dp(steps, gaps, ctx, p: float):
     mass split by final occupation.  Thermalizations and swaps mix the two
     occupation columns atom by atom; only level shifts move mass between
     work values (the occupied column pays -delta_e).  On the lattice a full
-    thermalization (lam = 1) forms no columns: its two products, (1 - g) *
-    total and g * total, wait as (total, g) for the next step.  A nonzero
-    shift followed by a full thermalization opens a run of such pairs,
-    which _thermalization_run takes on one column in place.  A lone
-    nonzero shift writes the products straight into its cells, the
-    occupied one first, as after a run the total is the unoccupied
-    column's window; a zero shift leaves them waiting, and any other step,
-    or the end of the steps, forms the columns first.  Each cell gets the
-    same two products, so the bits are those of the general arm, which
-    forms them elsewhere: the masses are finite and their total is never
-    -0.0, so 0*x + y == y, and 1*(1 - g) == 1 - g.
+    thermalization (lam = 1) opens a run, with the (nonzero shift, full
+    thermalization) pairs after it, which _thermalization_run takes on one
+    column in place.  It ends with the two columns that the general mixing
+    forms at lam = 1, (1 - g) * total and g * total: the masses are finite
+    and their total is never -0.0, so 0*x + y == y, and 1*(1 - g) == 1 - g.
 
     Until the first level shift the support is the one atom at work 0, so
-    the columns are plain floats, with the same IEEE results as one-element
-    arrays; a shift-free sequence returns floats.  While the shift-count
+    the columns are plain floats, or one-element arrays after a run, with
+    the same IEEE results; a shift-free sequence returns floats.  While the shift-count
     lattice fits (_shift_lattice), the support is that lattice, flattened,
     and the columns cover the window of cells the shifts so far can reach:
     a level shift stores the window and moves the occupied column by its
@@ -298,9 +293,6 @@ def _run_dp(steps, gaps, ctx, p: float):
     merges by _merge_atoms at MERGE_TOL / beta, refusing with ResourceError
     once the support exceeds ATOM_CAP atoms."""
     works, unocc, occ = 0.0, 1.0 - p, p
-    # The Gibbs weight of a full thermalization on the lattice whose columns
-    # are not formed yet; `total` holds their sum.
-    split = None
     lattice = _shift_lattice(steps)
     if lattice is not None:
         axes, cells, lo = lattice
@@ -309,52 +301,38 @@ def _run_dp(steps, gaps, ctx, p: float):
         cell_unocc, cell_occ = np.zeros(cells), np.zeros(cells)
     i, n = 0, len(steps)
     while i < n:
-        step, e = steps[i], gaps[i]
-        i += 1
-        if split is not None and not isinstance(step, LevelTransformation):
-            unocc, occ, split = (1.0 - split) * total, split * total, None
+        step = steps[i]
         if isinstance(step, PartialThermalization):
-            g = gibbs_population(e, ctx)
             lam = step.lam
             total = unocc + occ
             if lam == 1.0 and lattice is not None:
-                split = g
-            else:
-                unocc = (1.0 - lam) * unocc + lam * (1.0 - g) * total
-                occ = (1.0 - lam) * occ + lam * g * total
+                i, lo, hi, unocc, occ = _thermalization_run(
+                    steps, gaps, i, ctx, strides, cell_unocc, cell_occ,
+                    lo, hi, total)
+                continue
+            g = gibbs_population(gaps[i], ctx)
+            unocc = (1.0 - lam) * unocc + lam * (1.0 - g) * total
+            occ = (1.0 - lam) * occ + lam * g * total
         elif isinstance(step, BistochasticTransformation):
             gam = step.gamma
             unocc, occ = (
                 (1.0 - gam) * unocc + gam * occ,
                 (1.0 - gam) * occ + gam * unocc,
             )
+        elif step.delta_e != 0.0 and lattice is not None:
+            s = strides[abs(step.delta_e)]
+            if step.delta_e > 0:
+                shifted = slice(lo + s, hi + s)
+                vacated = slice(lo, min(lo + s, hi))
+            else:
+                shifted = slice(lo - s, hi - s)
+                vacated = slice(max(hi - s, lo), hi)
+            cell_unocc[lo:hi] = unocc
+            cell_occ[shifted] = occ
+            cell_occ[vacated] = 0.0
+            lo, hi = min(lo, shifted.start), max(hi, shifted.stop)
+            unocc, occ = cell_unocc[lo:hi], cell_occ[lo:hi]
         elif step.delta_e != 0.0:
-            if lattice is not None:
-                if (split is not None and i < n
-                        and isinstance(steps[i], PartialThermalization)
-                        and steps[i].lam == 1.0):
-                    i, lo, hi, split, total = _thermalization_run(
-                        steps, gaps, i - 1, ctx, strides, cell_unocc,
-                        cell_occ, lo, hi, split, total)
-                    continue
-                s = strides[abs(step.delta_e)]
-                if step.delta_e > 0:
-                    shifted = slice(lo + s, hi + s)
-                    vacated = slice(lo, min(lo + s, hi))
-                else:
-                    shifted = slice(lo - s, hi - s)
-                    vacated = slice(max(hi - s, lo), hi)
-                if split is None:
-                    cell_unocc[lo:hi] = unocc
-                    cell_occ[shifted] = occ
-                else:
-                    np.multiply(total, split, out=cell_occ[shifted])
-                    np.multiply(total, 1.0 - split, out=cell_unocc[lo:hi])
-                    split = None
-                cell_occ[vacated] = 0.0
-                lo, hi = min(lo, shifted.start), max(hi, shifted.stop)
-                unocc, occ = cell_unocc[lo:hi], cell_occ[lo:hi]
-                continue
             works, unocc, occ = np.atleast_1d(works, unocc, occ)
             stay, moved = unocc > 0, occ > 0
             works = np.concatenate((works[stay], works[moved] - step.delta_e))
@@ -364,9 +342,8 @@ def _run_dp(steps, gaps, ctx, p: float):
             works, unocc, occ = _merge_atoms(works, MERGE_TOL / ctx.beta,
                                              unocc, occ)
             _check_budget(len(works), "work support")
+        i += 1
     if lattice is not None:
-        if split is not None:
-            unocc, occ = (1.0 - split) * total, split * total
         live = unocc + occ > 0
         cell, unocc, occ = np.arange(lo, hi)[live], unocc[live], occ[live]
         works = np.zeros(len(cell))

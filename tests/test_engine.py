@@ -40,7 +40,6 @@ from coarseops.protocol import (
     build_average_work_protocol,
     build_pure_excited_reset,
     build_thermalize_once,
-    normalize,
     random_protocol,
 )
 from coarseops.thermo import QubitState, ThermalContext, gibbs_population
@@ -254,24 +253,6 @@ def test_dp_occupation_marginal_matches_final_state():
         proto = random_protocol(seed, 10, 2.0, CTX)
         initial = QubitState((seed % 7) / 6)
         assert dp_final_occupation(proto, initial) == pytest.approx(
-            final_state(proto, initial).p_excited, abs=1e-12
-        )
-
-
-def test_normalize_preserves_law_and_state():
-    for seed in range(100):
-        proto = random_protocol(seed, 8, 2.0, CTX)
-        norm = normalize(proto)
-        initial = QubitState(0.35)
-        assert (
-            total_variation(
-                exact_work_distribution(proto, initial),
-                exact_work_distribution(norm, initial),
-                CTX,
-            )
-            <= 1e-12
-        )
-        assert final_state(norm, initial).p_excited == pytest.approx(
             final_state(proto, initial).p_excited, abs=1e-12
         )
 
@@ -701,17 +682,17 @@ def _pairs_per_run(monkeypatch, steps):
 @pytest.mark.parametrize("rounds", [200, 2000])
 def test_full_thermalization_arm_keeps_bits_on_staged_protocols(monkeypatch,
                                                                 rounds):
-    # Stage II's first PT(1) waits; every later round is one pair of the
-    # one run, which stops at stage III's shift.
+    # Stage II's first PT(1) opens the one run; every later round is one
+    # pair of it, and it stops at stage III's shift.
     proto = build_average_work_protocol(0.1, 0.3, CTX, rounds)
     assert _pairs_per_run(monkeypatch, proto.steps) == [rounds - 1]
     _assert_full_thermalization_arm_keeps_bits(proto.steps)
 
 
 def test_full_thermalization_arm_keeps_bits_on_random_protocols():
-    # Every lambda set to 1, on both layouts: the lattice, where PT(1)
-    # defers its split (also before the first shift), and the merge
-    # fallback, which mixes at every lambda.
+    # Every lambda set to 1, on both layouts: the lattice, where each PT(1)
+    # opens a run (also before the first shift), and the merge fallback,
+    # which mixes at every lambda.
     layouts = set()
     for seed in range(300):
         steps = [PT(1.0) if isinstance(s, PT) else s
@@ -745,11 +726,10 @@ def test_full_thermalization_arm_keeps_bits_on_stage2_path_laws(monkeypatch):
     assert _NotOne.compared > before
 
 
-def _assert_deferred_split_keeps_the_law(monkeypatch, steps, runs):
-    # On the lattice, PT(1) leaves its columns unformed until the next
-    # nonzero shift writes them into the cells, or a run of (nonzero shift,
-    # PT(1)) pairs carries them on one column; a swap, a thermalization or
-    # the end of the steps forms them first, and a zero shift waits.
+def _assert_thermalization_run_keeps_the_law(monkeypatch, steps, runs):
+    # On the lattice, each PT(1) opens a run, which carries the (nonzero
+    # shift, PT(1)) pairs after it on one column; anything else, a zero
+    # shift included, or the end of the steps ends it.
     assert engine._shift_lattice(steps) is not None
     assert _pairs_per_run(monkeypatch, steps) == runs
     _assert_full_thermalization_arm_keeps_bits(steps)
@@ -765,20 +745,20 @@ def _assert_deferred_split_keeps_the_law(monkeypatch, steps, runs):
 
 # A lattice window of several cells at a gap where g != 1/2, then PT(1)
 # and the steps that follow it; the suffix shifts back to the boundary.
-_SPLIT_PREFIX = [LT(0.5), PT(0.3), LT(-0.25), PT(0.6)]
-_SPLIT_SUFFIX = [LT(-0.5), PT(0.4), LT(0.25)]
+_RUN_PREFIX = [LT(0.5), PT(0.3), LT(-0.25), PT(0.6)]
+_RUN_SUFFIX = [LT(-0.5), PT(0.4), LT(0.25)]
 
 
 @pytest.mark.parametrize("middle, runs", [
-    ([PT(1.0), LT(0.25), PT(0.7), LT(-0.25)], []),
-    ([PT(1.0), LT(-0.25), PT(0.7), LT(0.25)], []),
-    ([PT(1.0), LT(0.0), PT(0.7)], []),
-    ([LT(-0.25 - LN3), PT(1.0), BT(0.3), LT(0.25 + LN3)], []),
-    ([PT(1.0), PT(0.5)], []),
-    ([PT(1.0), PT(1.0)], []),
+    ([PT(1.0), LT(0.25), PT(0.7), LT(-0.25)], [0]),
+    ([PT(1.0), LT(-0.25), PT(0.7), LT(0.25)], [0]),
+    ([PT(1.0), LT(0.0), PT(0.7)], [0]),
+    ([LT(-0.25 - LN3), PT(1.0), BT(0.3), LT(0.25 + LN3)], [0]),
+    ([PT(1.0), PT(0.5)], [0]),
+    ([PT(1.0), PT(1.0)], [0, 0]),
     ([PT(1.0), LT(0.25), PT(1.0), LT(-0.25), PT(0.7)], [1]),
     ([PT(1.0), LT(0.25), PT(1.0), LT(0.0), LT(-0.25), PT(1.0), LT(0.0),
-      PT(1.0), PT(0.7)], [1, 1]),
+      PT(1.0), PT(0.7)], [1, 0, 0]),
     ([LT(-0.25 - LN3), PT(1.0), LT(0.25), PT(1.0), LT(-0.25), PT(1.0),
       BT(0.3), LT(0.25 + LN3)], [2]),
     ([PT(1.0), LT(0.25), PT(1.0), LT(-0.25), PT(1.0), PT(0.5)], [2]),
@@ -787,14 +767,14 @@ _SPLIT_SUFFIX = [LT(-0.5), PT(0.4), LT(0.25)]
         "runs cut by a zero shift", "run cut by a swap at zero gap",
         "run of mixed signs cut by PT(0.5)"])
 def test_deferred_full_thermalization_split(monkeypatch, middle, runs):
-    _assert_deferred_split_keeps_the_law(
-        monkeypatch, _SPLIT_PREFIX + middle + _SPLIT_SUFFIX, runs)
+    _assert_thermalization_run_keeps_the_law(
+        monkeypatch, _RUN_PREFIX + middle + _RUN_SUFFIX, runs)
 
 
 @pytest.mark.parametrize("steps, runs", [
-    (_SPLIT_PREFIX + [PT(1.0)], []),
+    (_RUN_PREFIX + [PT(1.0)], [0]),
     ([PT(1.0), LT(0.5), PT(1.0), LT(-0.5)], [1]),
-    (_SPLIT_PREFIX + [PT(1.0), LT(0.25), PT(1.0), LT(-0.5), PT(1.0)], [2]),
+    (_RUN_PREFIX + [PT(1.0), LT(0.25), PT(1.0), LT(-0.5), PT(1.0)], [2]),
     # Axis 0.5 has stride 1 and axis 0.25 stride 3, so the run's first
     # shift moves the one-cell window past itself.
     ([PT(1.0), LT(0.25), PT(1.0), LT(0.5), PT(1.0), LT(-0.5), PT(1.0),
@@ -807,7 +787,7 @@ def test_deferred_full_thermalization_split(monkeypatch, middle, runs):
         "run where g is subnormal"])
 def test_deferred_full_thermalization_split_at_the_ends(monkeypatch, steps,
                                                         runs):
-    _assert_deferred_split_keeps_the_law(monkeypatch, steps, runs)
+    _assert_thermalization_run_keeps_the_law(monkeypatch, steps, runs)
 
 
 def test_mean_sums_the_products_in_atom_order():

@@ -1,5 +1,5 @@
-"""Tests for protocol representation, validation, normalization, builders,
-and JSON serialization."""
+"""Tests for protocol representation, validation, builders and JSON
+serialization."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from coarseops.protocol import (
     build_pure_excited_reset,
     build_thermalize_once,
     from_json,
-    normalize,
     random_protocol,
     to_json,
     validate,
@@ -89,27 +88,6 @@ def test_validate_tolerance_scales_but_still_refuses(beta):
     assert validate(build_average_work_protocol(0.1, 0.3, ctx, 200)).ok
 
 
-def test_normalize_merges_thermalizations():
-    out = normalize(Protocol(CTX, [PT(0.5), PT(0.5)]))
-    assert out.steps == (PT(0.75),)
-
-
-def test_normalize_merges_shifts():
-    out = normalize(Protocol(CTX, [LT(1.0), LT(2.0)]))
-    assert out.steps == (LT(3.0),)
-
-
-def test_normalize_cancels_full_swaps():
-    assert normalize(Protocol(CTX, [BT(1.0), BT(1.0)])).steps == ()
-
-
-def test_normalize_idempotent_and_drops_noops():
-    proto = Protocol(CTX, [PT(0.0), LT(1.0), LT(-1.0), PT(0.3), PT(0.0), BT(0.0)])
-    once = normalize(proto)
-    assert once.steps == (PT(0.3),)
-    assert normalize(once).steps == once.steps
-
-
 def test_average_work_protocol_energies():
     # p_in = 1/8 has gap ln 7, p_out = 3/8 has gap ln(5/3).
     proto = build_average_work_protocol(1 / 8, 3 / 8, CTX, n_stage2=2)
@@ -143,8 +121,9 @@ def test_staged_builder_equals_the_protocol_built_step_by_step(p_in, rounds):
 
 def test_average_work_protocol_degenerate_is_noop():
     p = CTX.p_beta
-    proto = normalize(build_average_work_protocol(p, p, CTX, n_stage2=3))
-    assert all(isinstance(s, PT) for s in proto.steps)
+    proto = build_average_work_protocol(p, p, CTX, n_stage2=3)
+    assert all(s.delta_e == 0.0 for s in proto.steps if isinstance(s, LT))
+    assert [s for s in proto.steps if not isinstance(s, LT)] == [PT(1.0)] * 3
     with pytest.raises(ValueError):
         build_average_work_protocol(0.0, 0.3, CTX, n_stage2=2)
 
@@ -167,7 +146,10 @@ def test_pure_excited_reset_shape():
     assert proto.steps == (LT(-math.log(3)), BT(1.0), LT(math.log(3)))
     assert validate(proto).ok
     ctx0 = ThermalContext(beta=1.0, e0=0.0)
-    assert normalize(build_pure_excited_reset(ctx0)).steps == (BT(1.0),)
+    steps = build_pure_excited_reset(ctx0).steps
+    assert [type(s) for s in steps] == [LT, BT, LT]
+    assert steps[1] == BT(1.0)
+    assert all(s.delta_e == 0.0 for s in steps if isinstance(s, LT))
 
 
 def test_random_protocol_deterministic_and_valid():
