@@ -21,6 +21,8 @@ import contextlib
 import hashlib
 import io
 import math
+import os
+import tempfile
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from coarseops.protocol import (
     Protocol,
     build_average_work_protocol,
     random_protocol,
+    to_json,
 )
 from coarseops.thermo import QubitState, ThermalContext
 
@@ -106,6 +109,49 @@ def run_edges() -> list:
         [LT(720.0 - ln3), PT(1.0), LT(0.25), PT(1.0), LT(-0.25), PT(1.0),
          LT(ln3 - 720.0)],
     ]
+
+
+def renewal_protocols() -> list:
+    """Protocols for final_state's start at its last full thermalization:
+    staged ones at three values of beta*e0, random ones with lambda as
+    drawn (never 1) and with every lambda set to 1, PT(1) as the first and
+    the last step and at zero gap beside swaps, and thermalizations at
+    lambda = 1 - 2**-53, which are not full."""
+    protos = []
+    for e0 in (0.05, math.log(3), 3.0):
+        ctx = ThermalContext(beta=1.0, e0=e0)
+        protos += [build_average_work_protocol(p_in, p_out, ctx, n)
+                   for n in (1, 2, 3, 400)
+                   for p_in, p_out in ((ctx.p_beta, 0.3), (0.1, 0.45),
+                                       (0.9, 0.05))]
+    for seed in range(300):
+        protos += [random_protocol(seed, 12, 2.0, CTX),
+                   full_thermalizations(seed, 12)]
+    ln3, nearly_one = math.log(3), 1.0 - 2.0**-53
+    protos += [Protocol(CTX, steps) for steps in (
+        [PT(1.0), LT(0.5), PT(0.3), LT(-0.5)],
+        [LT(0.5), PT(0.3), LT(-0.5), PT(1.0)],
+        [LT(-ln3), BT(0.3), PT(1.0), BT(0.6), LT(ln3)],
+        [LT(-ln3), PT(1.0), BT(1.0), LT(ln3), PT(0.7)],
+        [PT(nearly_one)],
+        [PT(1.0), LT(0.5), PT(nearly_one), LT(-0.5)],
+    )]
+    return protos
+
+
+def simulate_files(protos) -> list:
+    """`simulate --protocol FILE --format json` of each protocol, exact,
+    from the start population of its index, each written to a file of a
+    temporary directory."""
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, proto in enumerate(protos):
+            path = os.path.join(tmp, "protocol.json")
+            with open(path, "w") as fh:
+                fh.write(to_json(proto))
+            outputs.append(run_cli("simulate", "--protocol", path, "--p-in",
+                                   start(k).p_excited, "--format", "json"))
+    return outputs
 
 
 def corpus(ctx: ThermalContext) -> list:
@@ -215,6 +261,11 @@ def main() -> None:
                                             start(seed)),
              engine.dp_final_occupation(shift_free(seed, ctx), start(seed)))
             for seed in range(300)))
+    digest("final_state.renewal", (
+        engine.final_state(proto, QubitState(p)).p_excited
+        for proto in renewal_protocols() for p in (0.0, -0.0, 0.3, 1.0)))
+    digest("simulate.json.protocol.random_protocol.40.lam=1", simulate_files(
+        [full_thermalizations(seed, 40) for seed in range(300)]))
     digest("oracle.random_protocol.8", (
         engine.brute_force_work_distribution(
             random_protocol(seed, 8, 2.0, CTX), start(seed))

@@ -12,7 +12,9 @@ A map of the module; each function's docstring states its rules.
   with the run of (level shift, full thermalization) pairs after it, on
   one column in place.
   `exact_work_distribution` and `dp_final_occupation` call it.
-* The population recursion: `_final_population`, and `final_state`.
+* The population recursion: `_final_population`, and `final_state`,
+  which starts it at the last full thermalization, where the population
+  is that step's Gibbs weight whatever came before.
 * The oracle: `brute_force_work_distribution`, a breadth-first branch
   enumeration that shares no code with the DP.
 * The sampler: `monte_carlo`, seeded and counter-based, for laws past
@@ -184,9 +186,22 @@ def _final_population(steps, gaps, ctx, p: float) -> float:
 
 
 def final_state(proto: Protocol, initial: QubitState) -> QubitState:
-    """Deterministic population evolution of a protocol."""
-    return QubitState(_final_population(
-        proto.steps, proto.energy_trajectory(), proto.ctx, initial.p_excited))
+    """Deterministic population evolution of a protocol (_final_population).
+    A full thermalization forgets the population: the recursion gives 0*p +
+    g there, which is its Gibbs weight g for every finite p, -0.0 included.
+    So the recursion starts at the last full thermalization, from its g,
+    and runs over the steps after it only, with the same bits; without
+    one, it runs over every step."""
+    steps, gaps, p = proto.steps, proto.energy_trajectory(), initial.p_excited
+    j = len(steps)
+    while j:
+        j -= 1
+        step = steps[j]
+        if isinstance(step, PartialThermalization) and step.lam == 1.0:
+            p = gibbs_population(gaps[j], proto.ctx)
+            steps, gaps = steps[j + 1:], gaps[j + 1:]
+            break
+    return QubitState(_final_population(steps, gaps, proto.ctx, p))
 
 
 def _shift_lattice(steps):
@@ -237,11 +252,15 @@ def _thermalization_run(steps, gaps, i, ctx, strides, column, spare,
     adding its occupied +0.0 gives there, as no mass is -0.0; a cell it
     newly reaches adds onto the +0.0 it holds here.  spare keeps products
     inside the window, which the column writes after the run always cover.
-    Returns the index past the run, the window and the last
-    thermalization's two columns, (1 - g) * total and g * total."""
+    g and 1 - g reach np.multiply as two 0-d float64 arrays of the run, set
+    in place at each pair: the same IEEE products, without converting a
+    Python float on every call.  Returns the index past the run, the
+    window and the last thermalization's two columns, (1 - g) * total and
+    g * total."""
     column[lo:hi] = total
     total = column[lo:hi]
     g = gibbs_population(gaps[i], ctx)
+    gv, hv = np.empty(()), np.empty(())
     i, n = i + 1, len(steps)
     while (i + 1 < n and isinstance(steps[i], LevelTransformation)
            and steps[i].delta_e != 0.0
@@ -249,8 +268,10 @@ def _thermalization_run(steps, gaps, i, ctx, strides, column, spare,
            and steps[i + 1].lam == 1.0):
         delta = steps[i].delta_e
         products = spare[lo:hi]
-        np.multiply(total, g, out=products)
-        np.multiply(total, 1.0 - g, out=total)
+        gv[()] = g
+        hv[()] = 1.0 - g
+        np.multiply(total, gv, products)
+        np.multiply(total, hv, total)
         if delta > 0.0:
             s = strides[delta]
             target = column[lo + s:hi + s]
@@ -259,7 +280,7 @@ def _thermalization_run(steps, gaps, i, ctx, strides, column, spare,
             s = strides[-delta]
             target = column[lo - s:hi - s]
             lo -= s
-        np.add(target, products, out=target)
+        np.add(target, products, target)
         total = column[lo:hi]
         g = gibbs_population(gaps[i + 1], ctx)
         i += 2

@@ -68,6 +68,93 @@ def test_final_state_partial_mixing():
     assert out.p_excited == pytest.approx(0.6 * 0.1 + 0.4 * 0.25, rel=1e-14)
 
 
+# The largest lambda below 1: a thermalization that does not forget the
+# population, however little it remembers.
+_NEARLY_ONE = 1.0 - 2.0**-53
+
+
+def _renewal_corpus():
+    """(ctx, steps) for final_state's start at the last full
+    thermalization: staged protocols; random protocols with lambda as drawn
+    (never 1) and with every lambda set to 1; PT(1) as the first and the
+    last step and at zero gap beside swaps; and PT(1 - 2**-53)."""
+    for e0 in (0.05, LN3, 3.0):
+        ctx = ThermalContext(1.0, e0)
+        for n in (1, 2, 3, 400):
+            for p_in, p_out in ((ctx.p_beta, 0.3), (0.1, 0.45), (0.9, 0.05)):
+                yield ctx, build_average_work_protocol(p_in, p_out, ctx,
+                                                       n).steps
+    for seed in range(200):
+        steps = random_protocol(seed, 12, 2.0, CTX).steps
+        yield CTX, steps
+        yield CTX, [PT(1.0) if isinstance(s, PT) else s for s in steps]
+    for steps in (
+        [PT(1.0), LT(0.5), PT(0.3), LT(-0.5)],
+        [PT(1.0), PT(0.4), BT(0.0), PT(0.6)],
+        [LT(0.5), PT(0.3), LT(-0.5), PT(1.0)],
+        [PT(0.4), PT(1.0)],
+        [LT(-LN3), BT(0.3), PT(1.0), BT(0.6), LT(LN3)],
+        [LT(-LN3), PT(1.0), BT(1.0), LT(LN3), PT(0.7)],
+        [LT(-LN3), BT(1.0), PT(1.0), LT(LN3)],
+        [LT(0.5), PT(0.3), LT(-0.5), PT(0.6)],
+        [LT(-LN3), BT(0.3), LT(LN3), PT(0.2)],
+    ):
+        yield CTX, steps
+    ctx = ThermalContext(1.0, 3.0)
+    yield ctx, [PT(_NEARLY_ONE)]
+    yield ctx, [PT(1.0), LT(0.5), PT(_NEARLY_ONE), LT(-0.5)]
+    yield ctx, [PT(_NEARLY_ONE), PT(0.5), BT(0.0), PT(_NEARLY_ONE)]
+
+
+def test_final_state_starts_at_the_last_full_thermalization_with_the_bits():
+    # At PT(1) the recursion gives 0*p + g, which is g for every finite p,
+    # so the start at the last one gives the bits of the whole recursion.
+    ctx = ThermalContext(1.0, 3.0)
+    assert engine._final_population(
+        [PT(_NEARLY_ONE)], [3.0], ctx, 1.0) != gibbs_population(3.0, ctx)
+    for ctx, steps in _renewal_corpus():
+        proto = Protocol(ctx, steps)
+        for p in (0.0, -0.0, 0.3, 1.0):
+            assert repr(final_state(proto, QubitState(p)).p_excited) == repr(
+                engine._final_population(
+                    proto.steps, proto.energy_trajectory(), ctx, p))
+
+
+def test_final_state_runs_the_recursion_after_the_last_full_thermalization(
+        monkeypatch):
+    recursions, weights = [], [0]
+    recursion, gibbs = engine._final_population, engine.gibbs_population
+
+    def spy_recursion(steps, gaps, ctx, p):
+        recursions.append((tuple(steps), list(gaps), p))
+        return recursion(steps, gaps, ctx, p)
+
+    def spy_gibbs(e, ctx):
+        weights[0] += 1
+        return gibbs(e, ctx)
+
+    monkeypatch.setattr(engine, "_final_population", spy_recursion)
+    monkeypatch.setattr(engine, "gibbs_population", spy_gibbs)
+    for ctx, steps in _renewal_corpus():
+        proto = Protocol(ctx, steps)
+        gaps = proto.energy_trajectory()
+        full = [j for j, s in enumerate(proto.steps)
+                if isinstance(s, PT) and s.lam == 1.0]
+        start = full[-1] + 1 if full else 0
+        recursions.clear()
+        weights[0] = 0
+        final_state(proto, QubitState(0.3))
+        p = gibbs(gaps[start - 1], ctx) if full else 0.3
+        assert recursions == [(proto.steps[start:], gaps[start:], p)]
+        assert weights[0] == bool(full) + sum(
+            isinstance(s, PT) for s in proto.steps[start:])
+    # A staged solve reads one Gibbs weight, whatever its number of rounds.
+    proto = build_average_work_protocol(0.1, 0.3, CTX, 400)
+    weights[0] = 0
+    final_state(proto, QubitState(0.1))
+    assert weights[0] == 1
+
+
 def test_exact_empty_protocol():
     dist = exact_work_distribution(Protocol(CTX, []), QubitState(0.3))
     assert dist.values == (0.0,)
