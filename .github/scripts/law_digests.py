@@ -321,6 +321,15 @@ def main() -> None:
         digest(f"bounds.lemma_simplecase.beta*e0={beta * e0:g}", (
             (i, j, bounds.lemma_simplecase_bound(i / 100, j / 100, ctx))
             for i in range(1, 100) for j in range(1, 50)))
+    # The binomial tail at n = 0..400, 1030 and 5000 and at p on a numpy
+    # grid of step 0.01 and the edges of [0, 1], with n ascending and then
+    # descending, so the row of log coefficients kept for one n cannot
+    # decide a value.
+    ns = [*range(401), 1030, 5000]
+    ps = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, *np.arange(0.01, 1.0, 0.01)]
+    digest("bounds.exact_binomial_upper_tail.grid", (
+        (n, float(p), bounds.exact_binomial_upper_tail(n, p))
+        for order in (ns, ns[::-1]) for n in order for p in ps))
 
     path_list = corpus(CTX)
     digest("paths.stage2", (paths.stage2_work_distribution(path)

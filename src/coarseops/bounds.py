@@ -21,9 +21,12 @@ bound is vacuous (threshold 0, p_2 = 0, probability 0) but valid.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from coarseops.paths import epsilon_iii, epsilon_iii_tilde
 from coarseops.thermo import ThermalContext, energy_of_population
@@ -107,10 +110,29 @@ def hoeffding_tail(n: int, p: float) -> float:
     return math.exp(-2.0 * n * (0.5 - p) ** 2)
 
 
+@functools.lru_cache(maxsize=1)
+def _log_binomial_row(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log C(n, k), k and n - k as read-only arrays over k = ceil(n/2),
+    ..., n, each log C(n, k) formed as lgamma(n + 1) - lgamma(k + 1) -
+    lgamma(n - k + 1).  Only the last n is kept: calls at one n and
+    several p share the row, and nothing grows with the calls made."""
+    log_n = math.lgamma(n + 1)
+    ks = range(math.ceil(n / 2), n + 1)
+    k = np.arange(ks.start, ks.stop)
+    row = (np.array([log_n - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                     for j in ks]), k, n - k)
+    for column in row:
+        column.flags.writeable = False
+    return row
+
+
 def exact_binomial_upper_tail(n: int, p: float) -> float:
     """Exact P(Bin(n, p) >= n/2), the quantity hoeffding_tail dominates.
 
-    Each term is formed in log space, so no factor overflows for large n."""
+    Each term is formed in log space, so no factor overflows for large n:
+    its exponent is log C(n, k) + k log p + (n - k) log(1 - p), added left
+    to right over the arrays of _log_binomial_row, which are the IEEE
+    operations of the same sum on floats, and math.exp takes each term."""
     if not isinstance(n, numbers.Integral) or n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if not 0.0 <= p <= 1.0:
@@ -119,12 +141,9 @@ def exact_binomial_upper_tail(n: int, p: float) -> float:
     if p == 0.0 or p == 1.0:
         return float(p == 1.0 or k_min == 0)
     log_p, log_q = math.log(p), math.log1p(-p)
-    log_n = math.lgamma(n + 1)
-    return math.fsum(
-        math.exp(log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-                 + k * log_p + (n - k) * log_q)
-        for k in range(k_min, n + 1)
-    )
+    log_c, k, rest = _log_binomial_row(n)
+    exponents = log_c + k * log_p + rest * log_q
+    return math.fsum(map(math.exp, exponents.tolist()))
 
 
 def lemma_w2_probability(epsilon2: float, ctx: ThermalContext) -> float:

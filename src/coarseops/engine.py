@@ -10,7 +10,8 @@ A map of the module; each function's docstring states its rules.
   `_shift_lattice` or, past it, with a merge after every level shift;
   on the lattice, `_thermalization_run` takes each full thermalization,
   with the run of (level shift, full thermalization) pairs after it, on
-  one column in place.
+  one column in place, and `_lattice_works` forms the work of the cells
+  with mass at the end.
   `exact_work_distribution` and `dp_final_occupation` call it.
 * The population recursion: `_final_population`, and `final_state`,
   which starts it at the last full thermalization, where the population
@@ -81,15 +82,19 @@ def _merge_atoms(values: np.ndarray, tol: float, *mass_columns: np.ndarray):
     values = values[order]
     columns = [c[order] for c in mass_columns]
     new_run = values[1:] - values[:-1] >= tol
-    if new_run.all():
+    if np.count_nonzero(new_run) == len(new_run):
         return (values, *columns)
-    group = np.concatenate(([0], np.cumsum(new_run)))
-    first = values[np.concatenate(([True], new_run))]
-    last = values[np.concatenate((new_run, [True]))]
-    p = sum(columns)
+    # Atom i opens a run where edges[i] is set and closes one where
+    # edges[i + 1] is.
+    edges = np.concatenate(([True], new_run, [True]))
+    group = edges[:-1].cumsum()
+    group -= 1
+    first, last = values[edges[:-1]], values[edges[1:]]
+    p = functools.reduce(operator.add, columns)
     mass = np.bincount(group, weights=p)
     offset = np.bincount(group, weights=p * (values - first[group]))
-    offset = np.divide(offset, mass, out=np.zeros_like(mass), where=mass > 0)
+    offset = np.divide(offset, mass, out=np.zeros(len(mass)),
+                       where=mass > 0.0)
     return (first + np.minimum(offset, last - first),
             *(np.bincount(group, weights=c) for c in columns))
 
@@ -115,7 +120,7 @@ class WorkDistribution:
             return WorkDistribution((float(values),), (float(probs),))
         values = np.asarray(values, dtype=float)
         probs = np.asarray(probs, dtype=float)
-        keep = probs > 0
+        keep = probs > 0.0
         values, probs = _merge_atoms(values[keep], MERGE_TOL / ctx.beta,
                                      probs[keep])
         return WorkDistribution(tuple(values.tolist()), tuple(probs.tolist()))
@@ -162,14 +167,12 @@ def prob_work_at_most(dist: WorkDistribution, threshold: float, ctx) -> float:
 def total_variation(a: WorkDistribution, b: WorkDistribution, ctx) -> float:
     """Total-variation distance, matching atoms whose work values merge
     under MERGE_TOL / ctx.beta."""
-    pa, pb = np.asarray(a.probabilities), np.asarray(b.probabilities)
     _, pa, pb = _merge_atoms(
-        np.concatenate([np.asarray(a.values), np.asarray(b.values)]),
-        MERGE_TOL / ctx.beta,
-        np.concatenate([pa, np.zeros(len(pb))]),
-        np.concatenate([np.zeros(len(pa)), pb]),
+        np.array(a.values + b.values), MERGE_TOL / ctx.beta,
+        np.array(a.probabilities + (0.0,) * len(b.probabilities)),
+        np.array((0.0,) * len(a.probabilities) + b.probabilities),
     )
-    return 0.5 * float(np.abs(pa - pb).sum())
+    return 0.5 * float(np.add.reduce(np.abs(pa - pb)))
 
 
 def _final_population(steps, gaps, ctx, p: float) -> float:
@@ -237,12 +240,27 @@ def _shift_lattice(steps):
     return axes, cells, origin
 
 
+def _lattice_works(axes, cell):
+    """The work of each given cell of _shift_lattice's lattice, 0 - c_1 *
+    |delta_e_1| - c_2 * |delta_e_2| - ..., subtracted in axis order, over
+    its signed counts c_j.  As the strides ascend axis by axis, the counts
+    are the cell's Fortran-order multi-index (one np.unravel_index call)
+    less each axis's lowest count."""
+    counts = np.unravel_index(cell, [size for _, _, size, _ in axes],
+                              order="F")
+    works = np.zeros(len(cell))
+    for (m, _, _, neg), count in zip(axes, counts):
+        works -= (count - neg) * m
+    return works
+
+
 def _thermalization_run(steps, gaps, i, ctx, strides, column, spare,
-                        lo, hi, total):
+                        lo, hi, unocc, occ):
     """A full thermalization at step i on _run_dp's lattice, over cells
-    [lo, hi) whose columns sum to `total`, and the (nonzero level shift,
-    full thermalization) pairs that follow it.  The run keeps one column,
-    the total, in `column`: each pair is the two-point update total'[c] =
+    [lo, hi) with columns unocc and occ, and the (nonzero level shift,
+    full thermalization) pairs that follow it.  The run adds the columns
+    into `column` and keeps that one column, the total, through the run:
+    each pair is the two-point update total'[c] =
     (1 - g) * total[c] + g * total[c - s], for the Gibbs weight g of the
     thermalization before it and the shift's signed stride s, done in place
     with spare[lo:hi] holding the products g * total.  The bits are those
@@ -256,9 +274,8 @@ def _thermalization_run(steps, gaps, i, ctx, strides, column, spare,
     in place at each pair: the same IEEE products, without converting a
     Python float on every call.  Returns the index past the run, the
     window and the last thermalization's two columns, (1 - g) * total and
-    g * total."""
-    column[lo:hi] = total
-    total = column[lo:hi]
+    g * total, formed with the same two arrays."""
+    total = np.add(unocc, occ, column[lo:hi])
     g = gibbs_population(gaps[i], ctx)
     gv, hv = np.empty(()), np.empty(())
     i, n = i + 1, len(steps)
@@ -284,7 +301,9 @@ def _thermalization_run(steps, gaps, i, ctx, strides, column, spare,
         total = column[lo:hi]
         g = gibbs_population(gaps[i + 1], ctx)
         i += 2
-    return i, lo, hi, (1.0 - g) * total, g * total
+    gv[()] = g
+    hv[()] = 1.0 - g
+    return i, lo, hi, total * hv, total * gv
 
 
 def _run_dp(steps, gaps, ctx, p: float):
@@ -306,13 +325,13 @@ def _run_dp(steps, gaps, ctx, p: float):
     and the columns cover the window of cells the shifts so far can reach:
     a level shift stores the window and moves the occupied column by its
     axis's stride with one slice assignment.  The cells of zero mass are
-    dropped at the end, and the work of each other cell, -sum c_j *
-    |delta_e_j| over its signed counts c_j, is formed once; nothing is
-    merged here: the caller's from_atoms merges once, deterministically (a
-    stable sort in cell order).  Otherwise each level shift keeps the atoms
-    with unoccupied mass, appends those with occupied mass, shifted, and
-    merges by _merge_atoms at MERGE_TOL / beta, refusing with ResourceError
-    once the support exceeds ATOM_CAP atoms."""
+    dropped at the end, and the work of each other cell is formed once
+    (_lattice_works); nothing is merged here: the caller's from_atoms
+    merges once, deterministically (a stable sort in cell order).
+    Otherwise each level shift keeps the atoms with unoccupied mass,
+    appends those with occupied mass, shifted, and merges by _merge_atoms
+    at MERGE_TOL / beta, refusing with ResourceError once the support
+    exceeds ATOM_CAP atoms."""
     works, unocc, occ = 0.0, 1.0 - p, p
     lattice = _shift_lattice(steps)
     if lattice is not None:
@@ -325,12 +344,12 @@ def _run_dp(steps, gaps, ctx, p: float):
         step = steps[i]
         if isinstance(step, PartialThermalization):
             lam = step.lam
-            total = unocc + occ
             if lam == 1.0 and lattice is not None:
                 i, lo, hi, unocc, occ = _thermalization_run(
                     steps, gaps, i, ctx, strides, cell_unocc, cell_occ,
-                    lo, hi, total)
+                    lo, hi, unocc, occ)
                 continue
+            total = unocc + occ
             g = gibbs_population(gaps[i], ctx)
             unocc = (1.0 - lam) * unocc + lam * (1.0 - g) * total
             occ = (1.0 - lam) * occ + lam * g * total
@@ -365,11 +384,9 @@ def _run_dp(steps, gaps, ctx, p: float):
             _check_budget(len(works), "work support")
         i += 1
     if lattice is not None:
-        live = unocc + occ > 0
-        cell, unocc, occ = np.arange(lo, hi)[live], unocc[live], occ[live]
-        works = np.zeros(len(cell))
-        for m, stride, size, neg in axes:
-            works -= (cell // stride % size - neg) * m
+        live = unocc + occ > 0.0
+        works = _lattice_works(axes, np.arange(lo, hi)[live])
+        unocc, occ = unocc[live], occ[live]
     return works, unocc, occ
 
 
@@ -413,7 +430,7 @@ def brute_force_work_distribution(
     prob = np.array([p0, 1.0 - p0])
     work = np.zeros(2)
     for i, step in enumerate(proto.steps):
-        live = prob != 0.0
+        live = prob.nonzero()[0]
         occupied, prob, work = occupied[live], prob[live], work[live]
         if isinstance(step, LevelTransformation):
             # An empty branch subtracts +-0.0, a no-op as work is never -0.0.
@@ -423,25 +440,26 @@ def brute_force_work_distribution(
             g = gibbs_population(energies[i], proto.ctx)
             lam = step.lam
             mixed = prob * lam
-            children = ((1.0 - lam, occupied, prob * (1.0 - lam)),
-                        (lam * g, True, mixed * g),
-                        (lam * (1.0 - g), False, mixed * (1.0 - g)))
+            children = ((1.0 - lam, occupied, prob, 1.0 - lam),
+                        (lam * g, True, mixed, g),
+                        (lam * (1.0 - g), False, mixed, 1.0 - g))
         else:
             gam = step.gamma
-            children = ((1.0 - gam, occupied, prob * (1.0 - gam)),
-                        (gam, ~occupied, prob * gam))
-        # Children as (weight, occupied, probability); one of zero weight
-        # has zero probability on every branch, so it gets no column.  Row
-        # b of the (branches, children) arrays holds branch b's children.
-        children = [(o, p) for w, o, p in children if w != 0.0]
+            children = ((1.0 - gam, occupied, prob, 1.0 - gam),
+                        (gam, ~occupied, prob, gam))
+        # Children as (weight, occupied, parent mass, factor); one of zero
+        # weight has zero probability on every branch, so it gets no
+        # column.  Row b of the (branches, children) arrays holds branch
+        # b's children, each probability its parent mass times its factor.
+        children = [c[1:] for c in children if c[0] != 0.0]
         shape = (len(prob), len(children))
         _check_budget(shape[0] * shape[1], "oracle frontier")
         occupied_out, prob_out = np.empty(shape, dtype=bool), np.empty(shape)
-        for j, (o, p) in enumerate(children):
+        for j, (o, p, f) in enumerate(children):
             occupied_out[:, j] = o
-            prob_out[:, j] = p
+            np.multiply(p, f, prob_out[:, j])
         occupied, prob = occupied_out.ravel(), prob_out.ravel()
-        work = np.repeat(work, shape[1])
+        work = work.repeat(shape[1])
     return WorkDistribution.from_atoms(work, prob, proto.ctx)
 
 

@@ -161,6 +161,43 @@ def test_exact_binomial_matches_integer_coefficients():
             )
 
 
+def _lgamma_binomial_upper_tail(n, p):
+    # The tail with every log coefficient formed in the sum itself, as
+    # lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1): the reference for
+    # the row of coefficients that the library keeps for one n.
+    k_min = math.ceil(n / 2)
+    if p == 0.0 or p == 1.0:
+        return float(p == 1.0 or k_min == 0)
+    log_p, log_q = math.log(p), math.log1p(-p)
+    log_n = math.lgamma(n + 1)
+    return math.fsum(
+        math.exp(log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                 + k * log_p + (n - k) * log_q)
+        for k in range(k_min, n + 1)
+    )
+
+
+def test_exact_binomial_keeps_the_bits_of_the_lgamma_sum():
+    ns = [*range(401), 1030, 5000]
+    ps = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, *np.arange(0.01, 1.0, 0.01)]
+    reference = {(n, i): _lgamma_binomial_upper_tail(n, p)
+                 for n in ns for i, p in enumerate(ps)}
+    # n ascending, n descending and p outermost, so no state of the row
+    # cache can decide a result.
+    orders = (
+        [(n, i) for n in ns for i in range(len(ps))],
+        [(n, i) for n in reversed(ns) for i in range(len(ps))],
+        [(n, i) for i in range(len(ps)) for n in ns],
+    )
+    for order in orders:
+        for n, i in order:
+            tail, ref = exact_binomial_upper_tail(n, ps[i]), reference[n, i]
+            assert tail == ref and repr(tail) == repr(ref), (n, ps[i])
+    # The cache keeps the row of one n, whatever was asked before.
+    info = bounds._log_binomial_row.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
+
+
 def test_exact_binomial_large_n_is_finite_and_dominated():
     for n in (1030, 5000):
         for p in (0.05, 0.3, 0.45, 0.49):

@@ -3,6 +3,7 @@ Monte Carlo sampler."""
 
 from __future__ import annotations
 
+import collections
 import gc
 import itertools
 import math
@@ -708,6 +709,73 @@ def test_engines_form_work_only_where_there_is_mass(monkeypatch, solver,
     dist = _SOLVERS[solver](_EMPTIED_BEFORE_OVERFLOW, QubitState(0.5))
     assert dist.values == (-1e308, 0.0)
     assert math.fsum(dist.probabilities) == pytest.approx(1.0)
+
+
+def _per_axis_works(axes, cell):
+    """The lattice cells' works formed with each axis's count taken as
+    cell // stride % size, the reference for engine._lattice_works."""
+    works = np.zeros(len(cell))
+    for m, stride, size, neg in axes:
+        works -= (cell // stride % size - neg) * m
+    return works
+
+
+def _lattice_solves():
+    """(kind, steps, gaps, ctx, p) of solves for the shift-count lattice:
+    staged protocols at three values of beta*e0, random 12-step protocols
+    and stage-II paths, with and without swaps."""
+    for e0 in (0.05, LN3, 3.0):
+        ctx = ThermalContext(1.0, e0)
+        for p_in, p_out, rounds in ((ctx.p_beta, 0.3, 200), (0.1, 0.45, 50),
+                                    (0.9, 0.05, 30)):
+            proto = build_average_work_protocol(p_in, p_out, ctx, rounds)
+            yield "staged", proto.steps, proto.energy_trajectory(), ctx, p_in
+    for seed in range(300):
+        proto = random_protocol(seed, 12, 2.0, CTX)
+        yield ("random", proto.steps, proto.energy_trajectory(), CTX,
+               (seed % 11) / 10)
+    rng = np.random.Generator(np.random.Philox(key=0))
+    for i in range(200):
+        d = paths.decompose_stages(
+            paths.random_cyclic_path(rng, CTX, with_swaps=i % 2 == 1))
+        yield ("path", *paths._path_steps(d.stage2), CTX,
+               gibbs_population(d.e_a, CTX))
+
+
+def test_lattice_works_keep_the_bits_of_per_axis_counts(monkeypatch):
+    # _run_dp's works against the per-axis formula on the cells it kept,
+    # byte for byte, so the sign of a zero counts too.  The inputs reach
+    # windows that start past cell 0 and negative counts, and summing the
+    # axes in reverse order would change some work's bits.
+    kept = []
+    form = engine._lattice_works
+
+    def spy(axes, cell):
+        kept.append((axes, cell))
+        return form(axes, cell)
+
+    monkeypatch.setattr(engine, "_lattice_works", spy)
+    seen = collections.Counter()
+    for kind, steps, gaps, ctx, p in _lattice_solves():
+        kept.clear()
+        works, _, _ = engine._run_dp(steps, gaps, ctx, p)
+        if not kept:
+            assert engine._shift_lattice(steps) is None
+            continue
+        (axes, cell), = kept
+        assert works.tobytes() == _per_axis_works(axes, cell).tobytes()
+        seen[kind] += 1
+        seen[kind, "off origin"] += bool(cell[0] > 0)
+        seen[kind, "negative"] += any((cell // stride % size < neg).any()
+                                      for _, stride, size, neg in axes)
+        seen[kind, "reordered"] += (
+            _per_axis_works(axes[::-1], cell).tobytes() != works.tobytes())
+    # Every staged solve and path takes the lattice, and 261 of the 300
+    # random protocols.
+    assert [seen[kind] for kind in ("staged", "random", "path")] == [
+        9, 261, 200]
+    assert all(seen[kind, what] > 0 for kind in ("staged", "random", "path")
+               for what in ("off origin", "negative", "reordered"))
 
 
 class _NotOne(float):
