@@ -161,25 +161,45 @@ def corpus(ctx: ThermalContext) -> list:
             for i in range(500)]
 
 
-def classify_cells(seed: int):
-    """(verdict, witness, final population, exact law) of every cell of the
-    192 x 192 grid that perfbench's classify-grid workload runs at `seed`:
-    191 p_in points and 1.0 against 192 p_out points, each shifted inside
-    its cell by the seed's offsets."""
+def perfbench_cells(seed: int) -> list:
+    """The 192 x 192 grid that perfbench's classify-grid workload runs at
+    `seed`: 191 p_in points and 1.0 against 192 p_out points, each shifted
+    inside its cell by the seed's offsets."""
     offset_in, offset_out = 0.25 + 0.5 * np.random.default_rng(seed).random(2)
     n = 192
     p_ins = [(k + offset_in) / n for k in range(n - 1)] + [1.0]
     p_outs = [(k + offset_out) / n for k in range(n)]
-    for p_in in p_ins:
-        for p_out in p_outs:
-            verdict = characterize.classify_transition(p_in, p_out, CTX)
-            if verdict.verdict == "forbidden":
-                yield verdict, None, None, None
-                continue
-            proto = characterize.synthesize_protocol(verdict, p_in, p_out, CTX)
-            yield (verdict, proto,
-                   engine.final_state(proto, QubitState(p_in)).p_excited,
-                   engine.exact_work_distribution(proto, QubitState(p_in)))
+    return [(p_in, p_out) for p_in in p_ins for p_out in p_outs]
+
+
+def edge_cells(ctx: ThermalContext) -> list:
+    """Every pair of 0, -0.0, the smallest subnormal, p_beta and 1 and 2
+    ulp either side, 1/2 and 1 ulp either side, 1 - 2**-53, 1 and i/48."""
+    p = ctx.p_beta
+    below, above = math.nextafter(p, 0.0), math.nextafter(p, 1.0)
+    pops = [0.0, -0.0, 5e-324, math.nextafter(below, 0.0), below, p, above,
+            math.nextafter(above, 1.0), math.nextafter(0.5, 0.0), 0.5,
+            math.nextafter(0.5, 1.0), 1.0 - 2.0**-53, 1.0,
+            *(i / 48 for i in range(1, 48))]
+    return [(p_in, p_out) for p_in in pops for p_out in pops]
+
+
+def classify_cells(cells, ctx: ThermalContext):
+    """(verdict, witness, final population, exact law) of each cell, or
+    the message of the ValueError it raises."""
+    for p_in, p_out in cells:
+        try:
+            verdict = characterize.classify_transition(p_in, p_out, ctx)
+        except ValueError as exc:
+            yield f"ValueError: {exc}"
+            continue
+        if verdict.verdict == "forbidden":
+            yield verdict, None, None, None
+            continue
+        proto = characterize.synthesize_protocol(verdict, p_in, p_out, ctx)
+        yield (verdict, proto,
+               engine.final_state(proto, QubitState(p_in)).p_excited,
+               engine.exact_work_distribution(proto, QubitState(p_in)))
 
 
 def main() -> None:
@@ -202,7 +222,14 @@ def main() -> None:
 
     # Hashed by repr, so a law holding numpy floats would change the line.
     for seed in (0, 5):
-        digest(f"classify_grid.witnesses.seed={seed}", classify_cells(seed))
+        digest(f"classify_grid.witnesses.seed={seed}",
+               classify_cells(perfbench_cells(seed), CTX))
+    # Cells at the edges of [0, 1] and next to p_beta and 1/2, at four
+    # values of beta*e0.
+    digest("classify.witnesses.edges", (
+        out for e0 in (0.05, 0.5, math.log(3), 3.0)
+        for ctx in [ThermalContext(beta=1.0, e0=e0)]
+        for out in classify_cells(edge_cells(ctx), ctx)))
 
     for seed in (0, 1, 7):
         for fmt in ("text", "json"):

@@ -43,11 +43,17 @@ class NoGoBound:
     regime: str
 
     def __post_init__(self):
-        for name in ("probability_lower_bound", "p_1", "p_2", "p_3", "p_f"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if not self.work_threshold >= 0.0:
+        # One test of every range and the threshold; the loop only names
+        # the first bad field.
+        if not (0.0 <= self.probability_lower_bound <= 1.0
+                and 0.0 <= self.p_1 <= 1.0 and 0.0 <= self.p_2 <= 1.0
+                and 0.0 <= self.p_3 <= 1.0 and 0.0 <= self.p_f <= 1.0
+                and self.work_threshold >= 0.0):
+            for name in ("probability_lower_bound", "p_1", "p_2", "p_3",
+                         "p_f"):
+                v = getattr(self, name)
+                if not 0.0 <= v <= 1.0:
+                    raise ValueError(f"{name} must lie in [0, 1], got {v}")
             raise ValueError("work threshold must be nonnegative")
 
     def to_json_dict(self) -> dict:
@@ -67,17 +73,21 @@ class NoGoBound:
 def _stage_bound(p_in, p_out, ref, ctx, regime) -> NoGoBound:
     """Compose the stage bounds for the move from `ref` toward p_out (see
     the module docstring).  p_2 is 0 where eps/2 is 0, which the lemma
-    refuses: a vacuous margin, or a subnormal one that halves to 0."""
+    refuses: a vacuous margin, or a subnormal one that halves to 0.  max,
+    min and abs are written as the comparisons that give their bits, -0.0
+    and NaN included, so that none costs a call."""
     q_star = (p_out + ref) / 2.0
     if p_out >= ref:
         eps, p3 = epsilon_iii(q_star, ctx), q_star
     else:
         eps, p3 = epsilon_iii_tilde(q_star, ctx), 1.0 - q_star
-    half = max(eps, 0.0) / 2.0
+    half = (0.0 if 0.0 > eps else eps) / 2.0  # max(eps, 0.0) / 2
     # -0.0 is falsy, so a start of -0.0 gets the bound of a start of 0.0.
-    p1 = min(p_in, 1.0 - p_in) or 0.0
+    q_in = 1.0 - p_in
+    p1 = (q_in if q_in < p_in else p_in) or 0.0  # min(p_in, 1 - p_in)
     p2 = lemma_w2_probability(half, ctx) if half > 0.0 else 0.0
-    pf = abs(p_out - ref) / 2.0
+    d = p_out - ref
+    pf = (d if d > 0.0 else 0.0 - d) / 2.0  # abs(d) / 2
     return NoGoBound(half, p1 * p2 * p3 * pf, p1, p2, p3, pf, regime)
 
 
@@ -155,8 +165,10 @@ def lemma_w2_probability(epsilon2: float, ctx: ThermalContext) -> float:
     scale = 4.0 / ctx.beta
     if scale == math.inf:
         x = ctx.beta * epsilon2
-        return min(2.0 / 3.0, x / (4.0 + x))
-    return min(2.0 / 3.0, epsilon2 / (scale + epsilon2))
+        p = x / (4.0 + x)
+    else:
+        p = epsilon2 / (scale + epsilon2)
+    return p if p < 2.0 / 3.0 else 2.0 / 3.0  # min(2/3, p)
 
 
 def lemma_path_bound(

@@ -52,7 +52,8 @@ def mixing_coefficient(p_in: float, p_out: float, ctx: ThermalContext) -> float:
     works; returns 1.  p_out == p_in above p_beta divides 0.0 by a
     negative number; that -0.0 is read as 0.0."""
     p_beta = ctx.p_beta
-    lo, hi = min(p_in, p_beta), max(p_in, p_beta)
+    lo = p_beta if p_beta < p_in else p_in  # min(p_in, p_beta)
+    hi = p_beta if p_beta > p_in else p_in  # max(p_in, p_beta)
     if not lo <= p_out <= hi:
         raise ValueError(
             f"p_out={p_out} is outside the mixing interval [{lo}, {hi}]"
@@ -80,20 +81,22 @@ def classify_transition(
                          f"= {p_beta} at beta*e0 = {ctx.beta * ctx.e0:.6g}")
     if p_in == 1.0:
         return TransitionClassification("pure_excited")
-    if min(p_in, p_beta) <= p_out <= max(p_in, p_beta):
+    # p_out between p_in and p_beta, the test of mixing_coefficient.
+    if (p_in <= p_out <= p_beta if p_in < p_beta
+            else p_beta <= p_out <= p_in):
         return TransitionClassification(
-            "mixing", lam=mixing_coefficient(p_in, p_out, ctx)
+            "mixing", mixing_coefficient(p_in, p_out, ctx)
         )
     if p_in < p_beta < p_out:
         # A target above 1/2 inherits the capped target's bound: mixing the
         # output back toward the thermal population is free, so a protocol
         # reaching p_out also realizes the transition to min(p_out, 1/2).
-        bound = theorem_main_bound(p_in, min(p_out, 0.5), ctx)
+        bound = theorem_main_bound(p_in, 0.5 if 0.5 < p_out else p_out, ctx)
     elif p_out < p_beta < p_in:
         bound = theorem_rev_bound(p_in, p_out, ctx)
     else:
         bound = theorem_same_side(p_in, p_out, ctx)
-    return TransitionClassification("forbidden", bound=bound)
+    return TransitionClassification("forbidden", None, bound)
 
 
 def synthesize_protocol(
@@ -105,7 +108,7 @@ def synthesize_protocol(
     """A witness protocol for an achievable verdict: reproduces p_out
     exactly and never produces negative work."""
     if classification.verdict == "mixing":
-        return Protocol(ctx, [PartialThermalization(classification.lam)])
+        return Protocol(ctx, (PartialThermalization(classification.lam),))
     if classification.verdict == "pure_excited":
         if p_out >= ctx.p_beta:
             # Mix the pure excited state down toward the thermal population;

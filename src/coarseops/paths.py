@@ -188,6 +188,12 @@ class StageDecomposition:
     def delta_f_3(self) -> float:
         return gibbs_integral(self.e_b, self.stage3.end_energy, self.stage1.ctx)
 
+    def stage2_work_distribution(self) -> WorkDistribution:
+        """Work law of stage II, started from the Gibbs population at e_a,
+        the gap of the first Gibbs tag."""
+        q_a = QubitState(gibbs_population(self.e_a, self.stage1.ctx))
+        return path_work_distribution(self.stage2, q_a)
+
 
 def decompose_stages(path: Path) -> StageDecomposition:
     """Split at the first and last Gibbs tags.  Paths with no Gibbs tag are
@@ -295,10 +301,8 @@ def path_work_distribution(path: Path, initial: QubitState) -> WorkDistribution:
 
 def stage2_work_distribution(path: Path) -> WorkDistribution:
     """Work law of the path's stage II, started from the Gibbs population
-    at its first Gibbs tag."""
-    d = decompose_stages(path)
-    q_a = QubitState(gibbs_population(d.e_a, path.ctx))
-    return path_work_distribution(d.stage2, q_a)
+    at its first Gibbs tag (StageDecomposition.stage2_work_distribution)."""
+    return decompose_stages(path).stage2_work_distribution()
 
 
 def path_final_state(path: Path, initial: QubitState) -> QubitState:

@@ -110,9 +110,9 @@ def _check_mean_area(ctx, cases, rng):
     worst = 0.0
     for _ in range(cases):
         path = paths.random_cyclic_path(rng, ctx, with_swaps=False)
-        mean = paths.stage2_work_distribution(path).mean
-        area = paths.area_between(path).total
-        identity = -paths.decompose_stages(path).delta_f_2 - area
+        d = paths.decompose_stages(path)
+        mean = d.stage2_work_distribution().mean
+        identity = -d.delta_f_2 - paths.area_between(path).total
         worst = max(worst, abs(mean - identity))
     worst *= ctx.beta
     return worst <= 1e-9, f"max_identity_residual={worst:.3e}"
@@ -154,8 +154,8 @@ def _check_w2_concentration(ctx, cases, rng):
     worst = math.inf
     for _ in range(cases):
         path = paths.random_cyclic_path(rng, ctx, with_swaps=rng.random() < 0.5)
-        dist = paths.stage2_work_distribution(path)
-        delta_f_2 = paths.decompose_stages(path).delta_f_2
+        d = paths.decompose_stages(path)
+        dist, delta_f_2 = d.stage2_work_distribution(), d.delta_f_2
         for eps in [e / ctx.beta for e in (0.05, 0.5, 2.0, 8.0)]:
             measured = engine.prob_work_at_most(dist, -delta_f_2 + eps, ctx)
             bound = bounds.lemma_w2_probability(eps, ctx)

@@ -3,6 +3,7 @@ each checked against an independent exact oracle where one exists."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
@@ -23,7 +24,11 @@ from coarseops.bounds import (
     theorem_rev_bound,
     theorem_same_side,
 )
-from coarseops.characterize import classify_transition
+from coarseops.characterize import (
+    TransitionClassification,
+    classify_transition,
+    mixing_coefficient,
+)
 from coarseops.engine import (
     brute_force_work_distribution,
     exact_work_distribution,
@@ -683,3 +688,176 @@ def test_same_side_bound_holds_for_thermalize_once_protocols(beta_e0, cells):
             assert measured >= bound.probability_lower_bound, (p_in, p_out)
             tested += 1
     assert tested == cells
+
+
+# Test-side copies of the classifier path as written with the builtins
+# min, max and abs, which the library spells as comparisons.  Each copy
+# states the same rule with the same messages; the library must give the
+# same repr, -0.0 and NaN included, and raise the same messages.
+def _builtin_lemma_w2(epsilon2, ctx):
+    if not epsilon2 > 0.0:
+        raise ValueError(f"epsilon2 must be positive, got {epsilon2}")
+    scale = 4.0 / ctx.beta
+    if scale == math.inf:
+        x = ctx.beta * epsilon2
+        return min(2.0 / 3.0, x / (4.0 + x))
+    return min(2.0 / 3.0, epsilon2 / (scale + epsilon2))
+
+
+def _builtin_stage_bound(p_in, p_out, ref, ctx, regime):
+    q_star = (p_out + ref) / 2.0
+    if p_out >= ref:
+        eps, p3 = epsilon_iii(q_star, ctx), q_star
+    else:
+        eps, p3 = epsilon_iii_tilde(q_star, ctx), 1.0 - q_star
+    half = max(eps, 0.0) / 2.0
+    p1 = min(p_in, 1.0 - p_in) or 0.0
+    p2 = _builtin_lemma_w2(half, ctx) if half > 0.0 else 0.0
+    pf = abs(p_out - ref) / 2.0
+    return NoGoBound(half, p1 * p2 * p3 * pf, p1, p2, p3, pf, regime)
+
+
+def _builtin_main(p_in, p_out, ctx):
+    p_beta = ctx.p_beta
+    if not (0.0 <= p_in < p_beta < p_out <= 0.5):
+        raise ValueError(
+            f"need 1/2 >= p_out > p_beta > p_in >= 0, got "
+            f"p_in={p_in}, p_beta={p_beta}, p_out={p_out}")
+    return _builtin_stage_bound(p_in, p_out, p_beta, ctx, "A6")
+
+
+def _builtin_rev(p_in, p_out, ctx):
+    p_beta = ctx.p_beta
+    if not (0.0 <= p_out < p_beta < p_in < 1.0):
+        raise ValueError(
+            f"need 0 <= p_out < p_beta < p_in < 1, got "
+            f"p_in={p_in}, p_beta={p_beta}, p_out={p_out}")
+    return _builtin_stage_bound(p_in, p_out, p_beta, ctx, "A7")
+
+
+def _builtin_same_side(p_in, p_out, ctx):
+    p_beta = ctx.p_beta
+    if not (p_beta <= p_in < p_out <= 1.0 or p_beta >= p_in > p_out >= 0.0):
+        raise ValueError(
+            "need p_beta <= p_in < p_out <= 1 or p_beta >= p_in > p_out >= 0, "
+            f"got p_in={p_in}, p_beta={p_beta}, p_out={p_out}")
+    return _builtin_stage_bound(p_in, p_out, p_in, ctx, "A8")
+
+
+def _builtin_mixing(p_in, p_out, ctx):
+    p_beta = ctx.p_beta
+    lo, hi = min(p_in, p_beta), max(p_in, p_beta)
+    if not lo <= p_out <= hi:
+        raise ValueError(
+            f"p_out={p_out} is outside the mixing interval [{lo}, {hi}]")
+    if p_in == p_beta:
+        return 1.0
+    return (p_out - p_in) / (p_beta - p_in) or 0.0
+
+
+def _builtin_classify(p_in, p_out, ctx):
+    if not 0.0 <= p_in <= 1.0 or not 0.0 <= p_out <= 1.0:
+        raise ValueError(f"populations must lie in [0, 1], got {p_in}, {p_out}")
+    p_beta = ctx.p_beta
+    if p_beta >= 0.5:
+        raise ValueError(f"classification requires p_beta < 1/2, got p_beta "
+                         f"= {p_beta} at beta*e0 = {ctx.beta * ctx.e0:.6g}")
+    if p_in == 1.0:
+        return TransitionClassification("pure_excited")
+    if min(p_in, p_beta) <= p_out <= max(p_in, p_beta):
+        return TransitionClassification(
+            "mixing", lam=_builtin_mixing(p_in, p_out, ctx))
+    if p_in < p_beta < p_out:
+        bound = _builtin_main(p_in, min(p_out, 0.5), ctx)
+    elif p_out < p_beta < p_in:
+        bound = _builtin_rev(p_in, p_out, ctx)
+    else:
+        bound = _builtin_same_side(p_in, p_out, ctx)
+    return TransitionClassification("forbidden", bound=bound)
+
+
+def _outcome(fn, *args):
+    """repr of the result, or the type and message of what was raised."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _edge_populations(ctx):
+    """0, -0.0, the smallest subnormal, p_beta and 1 and 2 ulp either side,
+    1/2 and 1 ulp either side, 1 - 2**-53 and 1, a regular grid, and three
+    values outside [0, 1]."""
+    p = ctx.p_beta
+    below, above = math.nextafter(p, 0.0), math.nextafter(p, 1.0)
+    edges = [0.0, -0.0, 5e-324, math.nextafter(below, 0.0), below, p, above,
+             math.nextafter(above, 1.0), math.nextafter(0.5, 0.0), 0.5,
+             math.nextafter(0.5, 1.0), 1.0 - 2.0**-53, 1.0]
+    return (edges + [i / 48 for i in range(1, 48)]
+            + [-5e-324, math.nextafter(1.0, 2.0), math.nan])
+
+
+@pytest.mark.parametrize("beta_e0", [0.05, 0.5, math.log(3), 3.0],
+                         ids=["0.05", "0.5", "ln3", "3"])
+def test_classifier_path_keeps_the_bits_of_min_max_and_abs(beta_e0):
+    ctx = ThermalContext(beta=1.0, e0=beta_e0)
+    pops = _edge_populations(ctx)
+    pairs = [
+        (classify_transition, _builtin_classify),
+        (mixing_coefficient, _builtin_mixing),
+        (theorem_main_bound, _builtin_main),
+        (theorem_rev_bound, _builtin_rev),
+        (theorem_same_side, _builtin_same_side),
+    ]
+    kinds = {"mixing", "pure_excited", "A6", "A7", "A8"}
+    seen = set()
+    for p_in in pops:
+        for p_out in pops:
+            for library, builtin in pairs:
+                got = _outcome(library, p_in, p_out, ctx)
+                assert got == _outcome(builtin, p_in, p_out, ctx), (
+                    library.__name__, p_in, p_out)
+                seen.add((library.__name__, got.startswith("ValueError")))
+                if library is classify_transition:
+                    seen.update(k for k in kinds if f"'{k}'" in got)
+    # Every function both returned and raised on the grid, and the
+    # classifier reached every verdict and regime.
+    assert seen == kinds | {(library.__name__, raised)
+                            for library, _ in pairs
+                            for raised in (False, True)}
+
+
+@pytest.mark.parametrize("beta", [1.0, 1e-310], ids=["1", "1e-310"])
+def test_stage2_lemma_keeps_the_bits_of_min(beta):
+    # At beta = 1e-310, 4/beta overflows and the lemma takes its other form.
+    ctx = ThermalContext(beta=beta, e0=1.0)
+    # At beta = 1 the cap 2/3 takes over at eps = 8.
+    epsilons = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.1, 7.99, 7.9999,
+                7.999999999999999, 8.0, 8.000000000000002, 100.0, 1e300,
+                math.inf, -math.inf, math.nan]
+    for eps in epsilons:
+        assert (_outcome(lemma_w2_probability, eps, ctx)
+                == _outcome(_builtin_lemma_w2, eps, ctx)), eps
+
+
+def _loop_checked_bound(*fields):
+    """NoGoBound's range checks as a loop over the fields, each named in
+    order, and then the threshold."""
+    names = ("probability_lower_bound", "p_1", "p_2", "p_3", "p_f")
+    for name, v in zip(names, fields[1:6]):
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {v}")
+    if not fields[0] >= 0.0:
+        raise ValueError("work threshold must be nonnegative")
+    return NoGoBound(*fields)
+
+
+def test_no_go_bound_names_the_first_bad_field():
+    # Every field at an admitted value, a bad value, and an end of its
+    # range, in all combinations: the one test that rejects names the same
+    # field, with the same message, as checking field by field.
+    choices = [(0.5, -0.0, math.nan, -1.0)] + [
+        (0.5, 0.0, 1.0, -0.0, math.nan, 1.5)] * 5
+    for fields in itertools.product(*choices):
+        assert (_outcome(NoGoBound, *fields, "A6")
+                == _outcome(_loop_checked_bound, *fields, "A6")), fields
