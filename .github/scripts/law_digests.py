@@ -71,6 +71,20 @@ def start(seed: int) -> QubitState:
     return QubitState((seed % 11) / 10)
 
 
+def dp_occupation(proto: Protocol, initial: QubitState) -> float:
+    """The mass of the exact DP's occupied column at the end of the
+    protocol, which final_state gives by the population recursion."""
+    return float(np.sum(engine._run_dp(proto.steps, proto.energy_trajectory(),
+                                       proto.ctx, initial.p_excited)[2]))
+
+
+def path_final_state(path: paths.Path, initial: QubitState) -> QubitState:
+    """The population recursion over a resolved path's steps and stored
+    gaps."""
+    return QubitState(engine._final_population(
+        *paths._path_steps(path), path.ctx, initial.p_excited))
+
+
 def full_thermalizations(seed: int, max_steps: int) -> Protocol:
     """random_protocol with every lambda set to 1, which it never draws."""
     steps = random_protocol(seed, max_steps, 2.0, CTX).steps
@@ -262,15 +276,14 @@ def main() -> None:
             engine.exact_work_distribution(p, start(seed))
             for seed, p in enumerate(protos)))
         digest(f"dp_final_occupation.random_protocol.{steps}", (
-            engine.dp_final_occupation(p, start(seed))
+            dp_occupation(p, start(seed))
             for seed, p in enumerate(protos)))
     digest("dp.random_protocol.40.lam=1", (
         engine.exact_work_distribution(full_thermalizations(seed, 40),
                                        start(seed))
         for seed in range(300)))
     digest("dp_final_occupation.random_protocol.40.lam=1", (
-        engine.dp_final_occupation(full_thermalizations(seed, 40),
-                                   start(seed))
+        dp_occupation(full_thermalizations(seed, 40), start(seed))
         for seed in range(300)))
     # random_protocol closes with a shift; this corpus ends in PT(1).
     digest("dp.lam=1.ends_in_PT", (
@@ -286,7 +299,7 @@ def main() -> None:
         digest(f"dp.off_lattice.lam=1.e0={e0:g}", (
             (engine.exact_work_distribution(shift_free(seed, ctx),
                                             start(seed)),
-             engine.dp_final_occupation(shift_free(seed, ctx), start(seed)))
+             dp_occupation(shift_free(seed, ctx), start(seed)))
             for seed in range(300)))
     digest("final_state.renewal", (
         engine.final_state(proto, QubitState(p)).p_excited
@@ -317,14 +330,14 @@ def main() -> None:
         for p_in, rounds in ((CTX.p_beta, 3000), (0.1, 2000))))
     digest("dp.runs.edges", (
         (engine.exact_work_distribution(Protocol(CTX, steps), QubitState(p)),
-         engine.dp_final_occupation(Protocol(CTX, steps), QubitState(p)))
+         dp_occupation(Protocol(CTX, steps), QubitState(p)))
         for steps in run_edges() for p in (0.0, 0.3, 1.0)))
     # Staged runs away from p_beta = 1/4, one from the thermal start.
     for e0 in (0.05, 3.0):
         ctx = ThermalContext(beta=1.0, e0=e0)
         digest(f"dp.staged.beta*e0={e0:g}", (
             (engine.exact_work_distribution(proto, QubitState(p_in)),
-             engine.dp_final_occupation(proto, QubitState(p_in)))
+             dp_occupation(proto, QubitState(p_in)))
             for p_in, p_out, rounds in ((ctx.p_beta, 0.3, 1000),
                                         (0.1, 0.45, 500), (0.9, 0.05, 300),
                                         (0.3, 0.2, 1))
@@ -371,7 +384,7 @@ def main() -> None:
     # Full-path laws and final states, which thermalize at the stored gaps.
     digest("paths.full.e0=1e16", (
         (paths.path_work_distribution(path, QubitState(0.3)),
-         paths.path_final_state(path, QubitState(0.3)))
+         path_final_state(path, QubitState(0.3)))
         for path in far_paths))
 
 

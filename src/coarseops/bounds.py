@@ -15,8 +15,11 @@ The side of the move picks the stage-III margin and p_3: epsilon_iii and
 p_3 = q* upward, epsilon_iii_tilde and p_3 = 1 - q* downward.  p_1 is
 min(p_in, 1 - p_in).  Stage II absorbs half the stage-III margin eps: the
 threshold is eps/2 and p_2 = lemma_w2_probability(eps/2).  A margin that
-rounds below 0 (p_out within an ulp or two of p_beta) is taken as 0: the
-bound is vacuous (threshold 0, p_2 = 0, probability 0) but valid.
+rounds below 0 (p_out within an ulp or two of p_beta) is taken as 0, and
+so is the margin at a pivot that rounds onto 1 upward or onto 0 downward
+(p_in and p_out within an ulp of that end), where no gap has that thermal
+population: the bound is vacuous (threshold 0, p_2 = 0, probability 0)
+but valid.
 """
 
 from __future__ import annotations
@@ -78,9 +81,11 @@ def _stage_bound(p_in, p_out, ref, ctx, regime) -> NoGoBound:
     and NaN included, so that none costs a call."""
     q_star = (p_out + ref) / 2.0
     if p_out >= ref:
-        eps, p3 = epsilon_iii(q_star, ctx), q_star
+        eps = epsilon_iii(q_star, ctx) if q_star < 1.0 else 0.0
+        p3 = q_star
     else:
-        eps, p3 = epsilon_iii_tilde(q_star, ctx), 1.0 - q_star
+        eps = epsilon_iii_tilde(q_star, ctx) if q_star > 0.0 else 0.0
+        p3 = 1.0 - q_star
     half = (0.0 if 0.0 > eps else eps) / 2.0  # max(eps, 0.0) / 2
     # -0.0 is falsy, so a start of -0.0 gets the bound of a start of 0.0.
     q_in = 1.0 - p_in

@@ -12,10 +12,10 @@ A map of the module; each function's docstring states its rules.
   with the run of (level shift, full thermalization) pairs after it, on
   one column in place, and `_lattice_works` forms the work of the cells
   with mass at the end.
-  `exact_work_distribution` and `dp_final_occupation` call it.
-* The population recursion: `_final_population`, and `final_state`,
-  which starts it at the last full thermalization, where the population
-  is that step's Gibbs weight whatever came before.
+  `exact_work_distribution` and `paths.path_work_distribution` call it.
+* The population recursion: `_final_population`, and `final_state`, its
+  one caller, which starts it at the last full thermalization, where the
+  population is that step's Gibbs weight whatever came before.
 * The oracle: `brute_force_work_distribution`, a breadth-first branch
   enumeration that shares no code with the DP.
 * The sampler: `monte_carlo`, seeded and counter-based, for laws past
@@ -398,13 +398,6 @@ def exact_work_distribution(
     works, unocc, occ = _run_dp(proto.steps, proto.energy_trajectory(),
                                 proto.ctx, initial.p_excited)
     return WorkDistribution.from_atoms(works, unocc + occ, proto.ctx)
-
-
-def dp_final_occupation(proto: Protocol, initial: QubitState) -> float:
-    """Occupation marginal of the exact DP, for cross-checking final_state."""
-    _, _, occ = _run_dp(proto.steps, proto.energy_trajectory(), proto.ctx,
-                        initial.p_excited)
-    return float(np.sum(occ))
 
 
 def brute_force_work_distribution(

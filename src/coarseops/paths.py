@@ -29,7 +29,6 @@ from coarseops.engine import (
     MERGE_TOL,
     WorkDistribution,
     _check_budget,
-    _final_population,
     _run_dp,
 )
 from coarseops.protocol import (
@@ -303,12 +302,6 @@ def stage2_work_distribution(path: Path) -> WorkDistribution:
     """Work law of the path's stage II, started from the Gibbs population
     at its first Gibbs tag (StageDecomposition.stage2_work_distribution)."""
     return decompose_stages(path).stage2_work_distribution()
-
-
-def path_final_state(path: Path, initial: QubitState) -> QubitState:
-    """Occupation law at the end of the resolved path."""
-    return QubitState(_final_population(*_path_steps(path), path.ctx,
-                                        initial.p_excited))
 
 
 def _stage3_margin(q_out: float, ctx: ThermalContext, sign: float) -> float:

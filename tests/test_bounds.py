@@ -707,9 +707,11 @@ def _builtin_lemma_w2(epsilon2, ctx):
 def _builtin_stage_bound(p_in, p_out, ref, ctx, regime):
     q_star = (p_out + ref) / 2.0
     if p_out >= ref:
-        eps, p3 = epsilon_iii(q_star, ctx), q_star
+        eps = epsilon_iii(q_star, ctx) if q_star < 1.0 else 0.0
+        p3 = q_star
     else:
-        eps, p3 = epsilon_iii_tilde(q_star, ctx), 1.0 - q_star
+        eps = epsilon_iii_tilde(q_star, ctx) if q_star > 0.0 else 0.0
+        p3 = 1.0 - q_star
     half = max(eps, 0.0) / 2.0
     p1 = min(p_in, 1.0 - p_in) or 0.0
     p2 = _builtin_lemma_w2(half, ctx) if half > 0.0 else 0.0

@@ -192,6 +192,33 @@ def test_classifier_is_total_one_or_two_ulp_from_p_beta(beta):
     assert vacuous > 0
 
 
+def _edge_values(ctx):
+    """0, -0.0, the smallest subnormal, 1e-300, 1 - 2**-53, 1, p_beta and
+    1 ulp either side, and i/48."""
+    p = ctx.p_beta
+    return [0.0, -0.0, 5e-324, 1e-300, 1.0 - 2.0**-53, 1.0,
+            math.nextafter(p, 0.0), p, math.nextafter(p, 1.0),
+            *(i / 48 for i in range(49))]
+
+
+@pytest.mark.parametrize("beta_e0", [0.05, 0.5, math.log(3), 3.0],
+                         ids=["0.05", "0.5", "ln3", "3"])
+def test_classifier_is_total_at_the_edges_of_the_square(beta_e0):
+    ctx = ThermalContext(beta=1.0, e0=beta_e0)
+    pops = _edge_values(ctx)
+    for p_in in pops:
+        for p_out in pops:
+            classify_transition(p_in, p_out, ctx)
+    # The pivot q* = (p_out + p_in)/2 of these A8 moves rounds onto the end
+    # of [0, 1] they head for, where no gap has that thermal population:
+    # the stage-III margin is taken as 0, and the bound is vacuous.
+    for p_in, p_out in ((5e-324, 0.0), (5e-324, -0.0), (1.0 - 2.0**-53, 1.0)):
+        c = classify_transition(p_in, p_out, ctx)
+        assert c.verdict == "forbidden" and c.bound.regime == "A8"
+        assert (c.bound.work_threshold, c.bound.p_2,
+                c.bound.probability_lower_bound) == (0.0, 0.0, 0.0)
+
+
 def test_pure_excited_witness_mixes_down_with_the_mixing_coefficient():
     for p_out in (CTX.p_beta, 0.5, 0.9, 1.0):
         c = classify_transition(1.0, p_out, CTX)

@@ -314,6 +314,22 @@ def test_forbidden_move_one_ulp_from_p_beta_is_vacuous(command):
     assert bound["threshold"] == 0.0 and bound["probability"] == 0.0
 
 
+@pytest.mark.parametrize("command", ["classify", "bounds"])
+def test_forbidden_move_whose_pivot_rounds_onto_0_is_vacuous(command):
+    # q* = (0 + 5e-324)/2 rounds to 0, where no gap has that thermal
+    # population: the bound is vacuous instead of a validation error.
+    result = run(command, "--p-beta", "0.25", "--p-in", "5e-324",
+                 "--p-out", "0")
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.stdout)
+    bound = doc["bound"] if command == "classify" else doc
+    assert bound == {
+        "threshold": 0.0, "probability": 0.0,
+        "components": {"p1": 5e-324, "p2": 0.0, "p3": 1.0, "pf": 0.0},
+        "regime": "A8",
+    }
+
+
 @pytest.mark.parametrize("ctx_args", [
     ("--p-beta", "0.05"), ("--p-beta", "0.3"), ("--p-beta", "0.45"),
     ("--e0", "0"), ("--beta", "800", "--e0", "1"),

@@ -26,7 +26,6 @@ from coarseops.engine import (
     WorkDistribution,
     _merge_atoms,
     brute_force_work_distribution,
-    dp_final_occupation,
     exact_work_distribution,
     final_state,
     monte_carlo,
@@ -47,6 +46,13 @@ from coarseops.thermo import QubitState, ThermalContext, gibbs_population
 
 CTX = ThermalContext(beta=1.0, e0=math.log(3))
 LN3 = math.log(3)
+
+
+def _dp_occupation(proto, initial):
+    """Reference: the mass of the DP's occupied column at the end, which
+    final_state gives by the population recursion."""
+    return float(np.sum(engine._run_dp(proto.steps, proto.energy_trajectory(),
+                                       proto.ctx, initial.p_excited)[2]))
 
 
 def test_final_state_full_thermalization():
@@ -340,7 +346,7 @@ def test_dp_occupation_marginal_matches_final_state():
     for seed in range(50):
         proto = random_protocol(seed, 10, 2.0, CTX)
         initial = QubitState((seed % 7) / 6)
-        assert dp_final_occupation(proto, initial) == pytest.approx(
+        assert _dp_occupation(proto, initial) == pytest.approx(
             final_state(proto, initial).p_excited, abs=1e-12
         )
 
@@ -483,7 +489,7 @@ def test_shift_free_law_is_one_atom_without_merge(monkeypatch, lam, p_in):
     dist = exact_work_distribution(proto, QubitState(p_in))
     assert (dist.values, dist.probabilities) == ((0.0,), (1.0,))
     assert calls == []
-    assert dp_final_occupation(proto, QubitState(p_in)) == final_state(
+    assert _dp_occupation(proto, QubitState(p_in)) == final_state(
         proto, QubitState(p_in)).p_excited
 
 
@@ -566,7 +572,7 @@ def test_dp_matches_brute_force_after_mixing_prefix(monkeypatch, fallback):
                 dp = exact_work_distribution(proto, initial)
                 bf = brute_force_work_distribution(proto, initial)
                 assert total_variation(dp, bf, ctx) <= 1e-12, (k, seed, p)
-                assert dp_final_occupation(proto, initial) == pytest.approx(
+                assert _dp_occupation(proto, initial) == pytest.approx(
                     final_state(proto, initial).p_excited, abs=1e-14)
                 cases += 1
     assert cases == 288
@@ -813,8 +819,8 @@ def _assert_full_thermalization_arm_keeps_bits(steps, ctx=CTX,
         initial = QubitState(p)
         assert (exact_work_distribution(fast, initial)
                 == exact_work_distribution(general, initial))
-        assert (dp_final_occupation(fast, initial)
-                == dp_final_occupation(general, initial))
+        assert (_dp_occupation(fast, initial)
+                == _dp_occupation(general, initial))
 
 
 def _pairs_per_run(monkeypatch, steps):
@@ -894,7 +900,7 @@ def _assert_thermalization_run_keeps_the_law(monkeypatch, steps, runs):
         dp = exact_work_distribution(proto, initial)
         assert total_variation(
             dp, brute_force_work_distribution(proto, initial), CTX) <= 1e-15
-        assert dp_final_occupation(proto, initial) == pytest.approx(
+        assert _dp_occupation(proto, initial) == pytest.approx(
             final_state(proto, initial).p_excited, abs=1e-15)
 
 

@@ -12,6 +12,7 @@ import pytest
 from coarseops.engine import (
     MERGE_TOL,
     ResourceError,
+    _final_population,
     exact_work_distribution,
     final_state,
     total_variation,
@@ -19,13 +20,13 @@ from coarseops.engine import (
 from coarseops.paths import (
     Path,
     Tag,
+    _path_steps,
     area_between,
     cyclic_path,
     decompose_stages,
     enumerate_paths,
     epsilon_iii,
     epsilon_iii_tilde,
-    path_final_state,
     path_work_distribution,
     random_cyclic_path,
     shrink,
@@ -54,6 +55,12 @@ I, G, S = Tag.IDENTITY, Tag.GIBBS, Tag.SWAP
 
 def make_path(gaps, tags, weight=1.0, ctx=CTX):
     return Path(tuple(gaps), tuple(tags), weight, ctx)
+
+
+def _path_final_population(path, p):
+    """Reference: the population recursion over the path's steps and stored
+    gaps, from population p."""
+    return _final_population(*_path_steps(path), path.ctx, p)
 
 
 def random_shrunk_path(seed: int, with_swaps: bool):
@@ -115,7 +122,7 @@ def test_enumerate_mixture_reproduces_final_state():
         proto = random_protocol(seed, 6, 2.0, CTX)
         initial = QubitState(0.3)
         mixed = sum(
-            p.weight * path_final_state(p, initial).p_excited
+            p.weight * _path_final_population(p, initial.p_excited)
             for p in enumerate_paths(proto)
         )
         assert mixed == pytest.approx(
@@ -339,7 +346,7 @@ def test_path_laws_thermalize_at_the_stored_gaps(e0, gap):
     ctx = ThermalContext(beta=1.0, e0=e0)
     path = cyclic_path([gap], [G], ctx)
     initial = QubitState(0.3)
-    assert path_final_state(path, initial).p_excited == gibbs_population(
+    assert _path_final_population(path, initial.p_excited) == gibbs_population(
         gap, ctx)
     at_one = cyclic_path([gap], [G], ThermalContext(beta=1.0, e0=1.0))
     assert (path_work_distribution(path, initial).probabilities
