@@ -31,10 +31,12 @@ from coarseops.protocol import (
     BistochasticTransformation as BT,
     LevelTransformation as LT,
     PartialThermalization as PT,
+    GAP_TOL,
     Protocol,
     build_average_work_protocol,
     random_protocol,
     to_json,
+    validate,
 )
 from coarseops.thermo import QubitState, ThermalContext
 
@@ -150,6 +152,47 @@ def renewal_protocols() -> list:
         [PT(nearly_one)],
         [PT(1.0), LT(0.5), PT(nearly_one), LT(-0.5)],
     )]
+    return protos
+
+
+def gap_corpus() -> list:
+    """renewal_protocols(), random_protocol(seed, 40) for seeds 0-299 and
+    the two staged protocols of perfbench's staged-exact workload."""
+    return (renewal_protocols()
+            + [random_protocol(seed, 40, 2.0, CTX) for seed in range(300)]
+            + [build_average_work_protocol(p_in, 0.3, CTX, rounds)
+               for p_in, rounds in ((CTX.p_beta, 3000), (0.1, 2000))])
+
+
+def interleaved(protos) -> list:
+    """Each protocol's gaps, asked in the order A, B, A, C, B, D, C, ...,
+    and then each asked twice in a row."""
+    order = protos[:1] + [p for pair in zip(protos[1:], protos)
+                          for p in pair]
+    order += [p for p in protos for _ in range(2)]
+    return [p.energy_trajectory() for p in order]
+
+
+def invalid_protocols() -> list:
+    """Protocols at validate's edges: swaps off zero gap (gamma 0.5 and
+    0), open cycles, and a swap gap and a final gap off by GAP_TOL / beta
+    and one ulp either side of it, both signs, at beta in {1e-3, 1, 1e3}
+    and e0 in {ln 3 / beta, 0.0, -0.0}."""
+    protos = []
+    for beta in (1e-3, 1.0, 1e3):
+        tol = GAP_TOL / beta
+        misses = [math.nextafter(tol, 0.0), tol, math.nextafter(tol, 1.0)]
+        misses += [-m for m in misses]
+        unit = 1.0 / beta
+        for e0 in (math.log(3) / beta, 0.0, -0.0):
+            ctx = ThermalContext(beta=beta, e0=e0)
+            protos += [Protocol(ctx, steps) for steps in (
+                [BT(0.5)], [BT(0.0)], [LT(unit)], [LT(unit), LT(-unit)],
+                [LT(unit), BT(0.3), LT(-unit)], [LT(-e0), BT(1.0), LT(e0)])]
+            for m in misses:
+                protos += [Protocol(ctx, steps) for steps in (
+                    [LT(m - e0), BT(0.5), LT(e0 - m)], [LT(m)],
+                    [LT(unit), LT(m - unit)])]
     return protos
 
 
@@ -304,6 +347,25 @@ def main() -> None:
     digest("final_state.renewal", (
         engine.final_state(proto, QubitState(p)).p_excited
         for proto in renewal_protocols() for p in (0.0, -0.0, 0.3, 1.0)))
+    # The gaps and the reports read from energy_trajectory(), whose last
+    # protocol's gaps are kept: each protocol asked between others and
+    # twice in a row.
+    gap_protos = gap_corpus()
+    digest("energy_trajectory.corpus", interleaved(gap_protos))
+    digest("validate.corpus", (validate(p) for p in gap_protos))
+    digest("validate.invalid", (validate(p) for p in invalid_protocols()))
+    # The lattice axes, in the order of each |delta_e|'s last shift.
+    digest("dp.lattice_axes.random_protocol.40", (
+        engine._shift_lattice(random_protocol(seed, 40, 2.0, CTX).steps)
+        for seed in range(300)))
+    digest("dp.lattice_axes.staged", (
+        engine._shift_lattice(
+            build_average_work_protocol(p_in, p_out, ctx, rounds).steps)
+        for e0 in (0.05, math.log(3), 3.0)
+        for ctx in [ThermalContext(beta=1.0, e0=e0)]
+        for p_in, p_out, rounds in ((ctx.p_beta, 0.3, 3000),
+                                    (0.1, 0.45, 500), (0.9, 0.05, 300),
+                                    (0.3, 0.2, 1))))
     digest("simulate.json.protocol.random_protocol.40.lam=1", simulate_files(
         [full_thermalizations(seed, 40) for seed in range(300)]))
     digest("oracle.random_protocol.8", (

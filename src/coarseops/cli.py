@@ -78,13 +78,14 @@ def _fmt(x: float) -> str:
 def _law_json(doc: dict) -> str:
     """json.dumps(doc, indent=2), byte for byte, for a dict of floats and
     lists of floats.  json's encoder runs in Python whenever indent is set,
-    so each nonempty list of finite floats is written here instead, as one
-    join of float.__repr__, which json calls for a finite float; every
-    other entry, Infinity and NaN included, goes through json."""
+    so each nonempty list with a finite sum, whose floats are then all
+    finite, is written here instead, as one join of float.__repr__, which
+    json calls for a finite float; every other entry goes through json,
+    Infinity and NaN included, and so does a finite list whose sum
+    overflows, with the same bytes."""
     entries = []
     for key, value in doc.items():
-        if isinstance(value, list) and value and all(map(math.isfinite,
-                                                         value)):
+        if isinstance(value, list) and value and math.isfinite(sum(value)):
             entries.append(f"  {json.dumps(key)}: [\n    "
                            + ",\n    ".join(map(float.__repr__, value))
                            + "\n  ]")

@@ -225,13 +225,16 @@ def _shift_lattice(steps):
     if not deltas:
         return None
     limit = min(ATOM_CAP, _LATTICE_CELLS_PER_SHIFT * (len(deltas) + 1))
+    # Counted from the last shift back, so each |delta_e| enters at its
+    # last shift and the axes are read back in reverse.
     counts: dict[float, list[int]] = {}
-    for d in deltas:
-        # Re-inserted, so the axes end up ordered by their last shift.
-        n = counts[abs(d)] = counts.pop(abs(d), [0, 0])
+    for d in reversed(deltas):
+        n = counts.get(abs(d))
+        if n is None:
+            n = counts[abs(d)] = [0, 0]
         n[d > 0] += 1
     axes, cells, origin = [], 1, 0
-    for m, (neg, pos) in counts.items():
+    for m, (neg, pos) in reversed(counts.items()):
         axes.append((m, cells, neg + pos + 1, neg))
         origin += neg * cells
         cells *= neg + pos + 1

@@ -82,6 +82,13 @@ class ValidationReport:
         return not self.violations
 
 
+# The last protocol whose energy_trajectory() was summed and its gaps,
+# keyed by identity and replaced in one assignment, so a thread reads a
+# protocol with its own gaps.  It keeps that protocol alive, so its id is
+# never reused while it is here.
+_last_trajectory: tuple = (None, ())
+
+
 @dataclass(frozen=True, slots=True)
 class Protocol:
     ctx: ThermalContext
@@ -92,13 +99,22 @@ class Protocol:
         object.__setattr__(self, "steps", tuple(steps))
 
     def energy_trajectory(self) -> list[float]:
-        """Gap before each step plus the final gap: length len(steps) + 1."""
-        energies = [self.ctx.e0]
+        """Gap before each step plus the final gap: length len(steps) + 1,
+        a fresh list on every call.  The gaps of the last protocol summed
+        are kept (_last_trajectory), so the calls one exact `simulate`
+        makes on its protocol sum each gap once."""
+        global _last_trajectory
+        proto, gaps = _last_trajectory
+        if proto is self:
+            return list(gaps)
+        e = self.ctx.e0
+        energies = [e]
+        append = energies.append
         for step in self.steps:
-            e = energies[-1]
             if isinstance(step, LevelTransformation):
                 e = e + step.delta_e
-            energies.append(e)
+            append(e)
+        _last_trajectory = (self, tuple(energies))
         return energies
 
 

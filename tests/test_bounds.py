@@ -166,27 +166,31 @@ def test_exact_binomial_matches_integer_coefficients():
             )
 
 
-def _lgamma_binomial_upper_tail(n, p):
-    # The tail with every log coefficient formed in the sum itself, as
-    # lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1): the reference for
-    # the row of coefficients that the library keeps for one n.
+def _lgamma_binomial_upper_tails(n, ps):
+    # The tail at each p with every log coefficient formed as
+    # lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1), once for this n,
+    # then added to k * log p and (n - k) * log(1 - p) in that order: the
+    # reference for the row of coefficients that the library keeps.
     k_min = math.ceil(n / 2)
-    if p == 0.0 or p == 1.0:
-        return float(p == 1.0 or k_min == 0)
-    log_p, log_q = math.log(p), math.log1p(-p)
     log_n = math.lgamma(n + 1)
-    return math.fsum(
-        math.exp(log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-                 + k * log_p + (n - k) * log_q)
-        for k in range(k_min, n + 1)
-    )
+    terms = [(log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1), k, n - k)
+             for k in range(k_min, n + 1)]
+    tails = []
+    for p in ps:
+        if p == 0.0 or p == 1.0:
+            tails.append(float(p == 1.0 or k_min == 0))
+            continue
+        log_p, log_q = math.log(p), math.log1p(-p)
+        tails.append(math.fsum([math.exp(c + k * log_p + j * log_q)
+                                for c, k, j in terms]))
+    return tails
 
 
 def test_exact_binomial_keeps_the_bits_of_the_lgamma_sum():
     ns = [*range(401), 1030, 5000]
     ps = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, *np.arange(0.01, 1.0, 0.01)]
-    reference = {(n, i): _lgamma_binomial_upper_tail(n, p)
-                 for n in ns for i, p in enumerate(ps)}
+    reference = {(n, i): tail for n in ns
+                 for i, tail in enumerate(_lgamma_binomial_upper_tails(n, ps))}
     # n ascending, n descending and p outermost, so no state of the row
     # cache can decide a result.
     orders = (

@@ -88,10 +88,13 @@ def _law_doc(work, std_error=None, variance=0.25):
     _law_doc([-1.5, 2.0], std_error=math.inf, variance=math.inf),
     _law_doc([-1.5, math.inf]),
     _law_doc([math.nan, 2.0, -math.inf]),
+    _law_doc([1e308, 1e308]),
+    _law_doc([math.inf, -math.inf]),
     {"work": [], "probability": [], "final_p_excited": 0.0, "mean": 0.0,
      "variance": 0.0},
 ], ids=["one atom", "extreme values", "infinite variance", "std error",
-        "infinite std error", "infinite work", "nan and -inf", "empty"])
+        "infinite std error", "infinite work", "nan and -inf",
+        "finite values whose sum overflows", "inf and -inf", "empty"])
 def test_law_json_is_json_dumps_byte_for_byte(doc):
     assert cli._law_json(doc) == json.dumps(doc, indent=2)
 

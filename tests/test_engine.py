@@ -654,6 +654,65 @@ def test_lattice_and_fallback_layouts_agree_to_rounding(monkeypatch):
         assert total_variation(merged, dist, CTX) <= 1e-15
 
 
+def _shift_lattice_by_reinsertion(steps):
+    """Reference: _shift_lattice with each |delta_e|'s counts popped and
+    re-inserted at every shift, so the axes end up in the order of each
+    one's last shift."""
+    deltas = [s.delta_e for s in steps
+              if isinstance(s, LT) and s.delta_e != 0.0]
+    if not deltas:
+        return None
+    limit = min(engine.ATOM_CAP,
+                engine._LATTICE_CELLS_PER_SHIFT * (len(deltas) + 1))
+    counts = {}
+    for d in deltas:
+        n = counts[abs(d)] = counts.pop(abs(d), [0, 0])
+        n[d > 0] += 1
+    axes, cells, origin = [], 1, 0
+    for m, (neg, pos) in counts.items():
+        axes.append((m, cells, neg + pos + 1, neg))
+        origin += neg * cells
+        cells *= neg + pos + 1
+        if cells > limit:
+            return None
+    return axes, cells, origin
+
+
+@pytest.mark.parametrize("budget", ["default", "unlimited"])
+def test_shift_lattice_orders_axes_by_their_last_shift(monkeypatch, budget):
+    # The same axes in the same order as the reference, within the
+    # lattice budget and with it lifted, so that every axis is compared.
+    if budget == "unlimited":
+        monkeypatch.setattr(engine, "ATOM_CAP", 2**200)
+        monkeypatch.setattr(engine, "_LATTICE_CELLS_PER_SHIFT", 2**200)
+    step_lists = [random_protocol(seed, 40, 2.0, CTX).steps
+                  for seed in range(300)]
+    for e0 in (0.05, LN3, 3.0):
+        ctx = ThermalContext(beta=1.0, e0=e0)
+        step_lists += [
+            build_average_work_protocol(p_in, p_out, ctx, rounds).steps
+            for p_in, p_out, rounds in ((ctx.p_beta, 0.3, 3000),
+                                        (0.1, 0.45, 500), (0.9, 0.05, 1))]
+    # Both signs of one |delta_e|, first, last and between other shifts,
+    # with zero shifts, which count on no axis.
+    step_lists += [
+        [LT(0.5), LT(-0.5)],
+        [LT(-0.5), PT(0.3), LT(0.5), LT(0.5)],
+        [LT(0.25), LT(-0.5), LT(-0.25), LT(0.5), LT(0.25), LT(-0.25)],
+        [LT(-0.0), LT(0.75), LT(0.0), LT(-0.25), LT(-0.75), LT(0.25)],
+        [LT(0.1), LT(-0.2), LT(0.3), LT(-0.1), LT(0.2), LT(-0.3), LT(0.1)],
+        [LT(0.0), PT(1.0)],
+        [],
+    ]
+    shapes = set()
+    for steps in step_lists:
+        lattice = engine._shift_lattice(steps)
+        reference = _shift_lattice_by_reinsertion(steps)
+        assert repr(lattice) == repr(reference), steps
+        shapes.add(None if lattice is None else len(lattice[0]))
+    assert None in shapes and {1, 2, 3} <= shapes
+
+
 def _commensurate_corpus():
     """200 protocols of 5-24 rounds, each a shift to a gap on the grid
     0.1 * k, k in [-20, 20], and a thermalization; the shifts, differences

@@ -3,8 +3,11 @@ serialization."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
+import sys
+import threading
 
 import pytest
 
@@ -162,6 +165,90 @@ def test_random_protocol_deterministic_and_valid():
         assert validate(proto).ok
         kinds.update(type(s).__name__ for s in proto.steps)
     assert {"PartialThermalization", "LevelTransformation"} <= kinds
+
+
+def _summed_gaps(proto):
+    """Reference: the running sum of the shifts from e0, one list a call."""
+    gaps = [proto.ctx.e0]
+    for step in proto.steps:
+        gaps.append(gaps[-1] + step.delta_e if isinstance(step, LT)
+                    else gaps[-1])
+    return gaps
+
+
+def test_energy_trajectory_gives_each_protocol_its_own_gaps():
+    # Equal but distinct protocols, and dataclasses.replace copies, asked
+    # in turn and twice in a row, each get the gaps of their own steps.
+    # Protocols at e0 = 0.0 and -0.0 are equal, but their gaps differ in
+    # the sign of zero.
+    steps = [LT(0.5), PT(0.3), LT(-0.25), BT(0.0), LT(-0.25)]
+    a, b = Protocol(CTX, steps), Protocol(CTX, steps)
+    zero = Protocol(ThermalContext(1.0, 0.0), [PT(0.5), LT(-0.0)])
+    negative_zero = dataclasses.replace(zero, ctx=ThermalContext(1.0, -0.0))
+    protos = [
+        a, b, dataclasses.replace(a), dataclasses.replace(a, ctx=CTX),
+        dataclasses.replace(a, ctx=ThermalContext(1.0, 2.0)),
+        dataclasses.replace(a, steps=steps[:3]),
+        dataclasses.replace(a, steps=[LT(-0.0), PT(1.0)]),
+        build_average_work_protocol(0.1, 0.3, CTX, 50),
+        zero, negative_zero,
+    ]
+    assert a == b and a is not b and zero == negative_zero
+    assert repr(_summed_gaps(negative_zero)) == "[-0.0, -0.0, -0.0]"
+    for order in (protos, protos[::-1], [p for p in protos for _ in "ab"]):
+        for proto in order:
+            assert repr(proto.energy_trajectory()) == repr(_summed_gaps(proto))
+
+
+def test_energy_trajectory_returns_a_fresh_list():
+    # A caller that mutates its gaps changes neither the next call's gaps
+    # nor an earlier caller's, on the protocol summed last or not.
+    proto = build_average_work_protocol(0.1, 0.3, CTX, 5)
+    other = Protocol(CTX, [LT(1.0), LT(-1.0)])
+    expected, expected_other = _summed_gaps(proto), _summed_gaps(other)
+    for _ in range(3):
+        first, second = proto.energy_trajectory(), proto.energy_trajectory()
+        assert first is not second
+        first[0] = 99.0
+        first.append(1.0)
+        second.clear()
+        assert proto.energy_trajectory() == expected
+        assert other.energy_trajectory() == expected_other
+
+
+def test_energy_trajectory_threads_get_their_own_gaps():
+    # Four threads each ask their own two protocols 1,000 times, each
+    # twice in a row, with the interpreter switching threads as often as
+    # it can.
+    def protocols(k):
+        return [Protocol(ThermalContext(1.0, 0.5 * k), [LT(0.25 * k + 0.125),
+                                                        PT(0.5), LT(-1.0)]),
+                random_protocol(k, 12, 2.0, CTX)]
+
+    errors = []
+    barrier = threading.Barrier(4, timeout=60)
+
+    def ask(k):
+        mine = protocols(k)
+        expected = [_summed_gaps(p) for p in mine]
+        barrier.wait()
+        for i in range(1000):
+            gaps = mine[i // 2 % 2].energy_trajectory()
+            if gaps != expected[i // 2 % 2]:
+                errors.append((k, i, gaps))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
 
 
 def test_json_round_trip():
