@@ -287,6 +287,11 @@ def main() -> None:
         out for e0 in (0.05, 0.5, math.log(3), 3.0)
         for ctx in [ThermalContext(beta=1.0, e0=e0)]
         for out in classify_cells(edge_cells(ctx), ctx)))
+    # The same cells where p_beta underflows to 0.
+    digest("classify.witnesses.edges.p_beta=0", (
+        out for ctx in (ThermalContext(beta=1.0, e0=800.0),
+                        ThermalContext(beta=1e300, e0=1.0))
+        for out in classify_cells(edge_cells(ctx), ctx)))
 
     for seed in (0, 1, 7):
         for fmt in ("text", "json"):
@@ -412,13 +417,17 @@ def main() -> None:
         for branches in map(paths.enumerate_paths, protos)))
 
     # Both stage-III margins and the simple-case lemma, with q within 1e-9
-    # of p_beta and at the edges of (0, 1).
+    # of p_beta and at the edges of (0, 1).  The margins are read from
+    # `bounds`, or from `paths` on an older tree whose `bounds` lacks them,
+    # under the same line names.
+    margins = bounds if hasattr(bounds, "epsilon_iii") else paths
     for beta, e0 in ((1.0, 0.05), (1.0, math.log(3)), (0.5, 600.0)):
         ctx = ThermalContext(beta=beta, e0=e0)
         qs = ([i / 1000 for i in range(1, 1000)] + [1e-300, 1.0 - 2.0**-53]
               + (ctx.p_beta * (1 + np.linspace(-1e-9, 1e-9, 41))).tolist())
         digest(f"paths.stage3_margins.beta*e0={beta * e0:g}", (
-            (q, paths.epsilon_iii(q, ctx), paths.epsilon_iii_tilde(q, ctx))
+            (q, margins.epsilon_iii(q, ctx),
+             margins.epsilon_iii_tilde(q, ctx))
             for q in qs))
         digest(f"bounds.lemma_simplecase.beta*e0={beta * e0:g}", (
             (i, j, bounds.lemma_simplecase_bound(i / 100, j / 100, ctx))

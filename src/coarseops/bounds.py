@@ -1,5 +1,5 @@
-"""Closed-form no-go bounds on work loss for forbidden transitions, plus
-the probability-theory helpers they rest on.
+"""Closed-form no-go bounds on work loss for forbidden transitions, the
+stage-III loss margins they rest on, and the probability-theory helpers.
 
 Every bound states: any protocol realizing the given population transition
 loses at least `work_threshold` of work with probability at least
@@ -10,16 +10,17 @@ and p_f (fraction of branches ending beyond the pivot level q*).
 Every forbidden move p_in -> p_out is bounded by one composer,
 `_stage_bound`, from a reference level: p_beta for crossing the thermal
 population (A6 raising, A7 lowering) and p_in for moving away from it on
-one side (A8).  The pivot is q* = (p_out + ref)/2 and p_f = |p_out - ref|/2.
-The side of the move picks the stage-III margin and p_3: epsilon_iii and
-p_3 = q* upward, epsilon_iii_tilde and p_3 = 1 - q* downward.  p_1 is
-min(p_in, 1 - p_in).  Stage II absorbs half the stage-III margin eps: the
-threshold is eps/2 and p_2 = lemma_w2_probability(eps/2).  A margin that
-rounds below 0 (p_out within an ulp or two of p_beta) is taken as 0, and
-so is the margin at a pivot that rounds onto 1 upward or onto 0 downward
-(p_in and p_out within an ulp of that end), where no gap has that thermal
-population: the bound is vacuous (threshold 0, p_2 = 0, probability 0)
-but valid.
+one side (A8).  The theorems check their regime before they call it; the
+classifier, having picked the regime, calls it directly.  The pivot is q* =
+(p_out + ref)/2 and p_f = |p_out - ref|/2.  The side of the move picks the
+stage-III margin and p_3: epsilon_iii and p_3 = q* upward,
+epsilon_iii_tilde and p_3 = 1 - q* downward.  p_1 is min(p_in, 1 - p_in).
+Stage II absorbs half the stage-III margin eps: the threshold is eps/2 and
+p_2 = lemma_w2_probability(eps/2).  A margin that rounds below 0 (p_out
+within an ulp or two of p_beta) is taken as 0, and so is the margin at a
+pivot at 0 or 1 (p_in and p_out within an ulp of that end), where no gap
+has that thermal population: the bound is vacuous (threshold 0, p_2 = 0,
+probability 0) but valid.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coarseops.paths import epsilon_iii, epsilon_iii_tilde
 from coarseops.thermo import ThermalContext, energy_of_population
 
 
@@ -73,19 +73,48 @@ class NoGoBound:
         }
 
 
+def _stage3_margin(q_out: float, ctx: ThermalContext, sign: float) -> float:
+    """sign * (e0 - E(q_out)) + log(Z(e0) / Z(E(q_out))) / beta, where E(q)
+    is the gap at which the thermal population is q."""
+    if not 0.0 < q_out < 1.0:
+        raise ValueError(f"q_out must lie strictly in (0, 1), got {q_out}")
+    # energy_of_population and partition_function written out, operation
+    # for operation: q_out is checked above and the context on creation.
+    beta, e0 = ctx.beta, ctx.e0
+    e_q = -math.log(q_out / (1.0 - q_out)) / beta
+    log_term = math.log(
+        (1.0 + math.exp(-beta * e0)) / (1.0 + math.exp(-beta * e_q))
+    ) / beta
+    return sign * (e0 - e_q) + log_term
+
+
+def epsilon_iii(q_out: float, ctx: ThermalContext) -> float:
+    """Guaranteed stage-III work-loss margin for an endpoint level above the
+    boundary thermal population: strictly positive for q_out > p_beta and
+    zero at q_out = p_beta."""
+    return _stage3_margin(q_out, ctx, 1.0)
+
+
+def epsilon_iii_tilde(q_out: float, ctx: ThermalContext) -> float:
+    """Mirror margin for an endpoint level below the boundary thermal
+    population: strictly positive for q_out < p_beta."""
+    return _stage3_margin(q_out, ctx, -1.0)
+
+
 def _stage_bound(p_in, p_out, ref, ctx, regime) -> NoGoBound:
-    """Compose the stage bounds for the move from `ref` toward p_out (see
-    the module docstring).  p_2 is 0 where eps/2 is 0, which the lemma
-    refuses: a vacuous margin, or a subnormal one that halves to 0.  max,
-    min and abs are written as the comparisons that give their bits, -0.0
-    and NaN included, so that none costs a call."""
+    """Compose the stage bounds for the move from `ref` toward p_out in a
+    regime the caller has checked (see the module docstring).  p_2 is 0
+    where eps/2 is 0, which the lemma refuses: a vacuous margin, or a
+    subnormal one that halves to 0.  max, min and abs are written as the
+    comparisons that give their bits, -0.0 and NaN included, so that none
+    costs a call."""
     q_star = (p_out + ref) / 2.0
     if p_out >= ref:
-        eps = epsilon_iii(q_star, ctx) if q_star < 1.0 else 0.0
-        p3 = q_star
+        sign, p3 = 1.0, q_star
     else:
-        eps = epsilon_iii_tilde(q_star, ctx) if q_star > 0.0 else 0.0
-        p3 = 1.0 - q_star
+        sign, p3 = -1.0, 1.0 - q_star
+    # A pivot at 0 or 1 is the thermal population of no gap.
+    eps = _stage3_margin(q_star, ctx, sign) if 0.0 < q_star < 1.0 else 0.0
     half = (0.0 if 0.0 > eps else eps) / 2.0  # max(eps, 0.0) / 2
     # -0.0 is falsy, so a start of -0.0 gets the bound of a start of 0.0.
     q_in = 1.0 - p_in

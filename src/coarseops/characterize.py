@@ -4,20 +4,16 @@ A transition p_in -> p_out is achievable at zero work exactly when p_out
 lies between p_in and the boundary thermal population (a single partial
 thermalization interpolates), or when the input is the pure excited state
 (which can be reset to the ground state for free and re-mixed from there).
-Every other transition is forbidden: any protocol realizing it loses work,
-and the classifier attaches the applicable quantitative no-go bound.
+Every other transition is forbidden: any protocol realizing it loses work.
+The classifier states the regime partition once and only dispatches each
+forbidden cell, with its regime, to the no-go bound composer of `bounds`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from coarseops.bounds import (
-    NoGoBound,
-    theorem_main_bound,
-    theorem_rev_bound,
-    theorem_same_side,
-)
+from coarseops.bounds import NoGoBound, _stage_bound
 from coarseops.protocol import (
     PartialThermalization,
     Protocol,
@@ -91,11 +87,12 @@ def classify_transition(
         # A target above 1/2 inherits the capped target's bound: mixing the
         # output back toward the thermal population is free, so a protocol
         # reaching p_out also realizes the transition to min(p_out, 1/2).
-        bound = theorem_main_bound(p_in, 0.5 if 0.5 < p_out else p_out, ctx)
+        bound = _stage_bound(p_in, 0.5 if 0.5 < p_out else p_out, p_beta,
+                             ctx, "A6")
     elif p_out < p_beta < p_in:
-        bound = theorem_rev_bound(p_in, p_out, ctx)
+        bound = _stage_bound(p_in, p_out, p_beta, ctx, "A7")
     else:
-        bound = theorem_same_side(p_in, p_out, ctx)
+        bound = _stage_bound(p_in, p_out, p_in, ctx, "A8")
     return TransitionClassification("forbidden", None, bound)
 
 

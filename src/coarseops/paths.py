@@ -15,7 +15,8 @@ swap tag.  A Gibbs tag thermalizes at the gap the path stores for it.
 
 Stages: I up to and including the first Gibbs tag, II until the last Gibbs
 tag, III after it.  Stage free-energy changes are Gibbs-curve integrals
-over the corresponding energy windows.
+over the corresponding energy windows; the stage-III loss margins are
+`bounds`', beside the no-go bounds built on them.
 """
 
 from __future__ import annotations
@@ -303,30 +304,3 @@ def stage2_work_distribution(path: Path) -> WorkDistribution:
     at its first Gibbs tag (StageDecomposition.stage2_work_distribution)."""
     return decompose_stages(path).stage2_work_distribution()
 
-
-def _stage3_margin(q_out: float, ctx: ThermalContext, sign: float) -> float:
-    """sign * (e0 - E(q_out)) + log(Z(e0) / Z(E(q_out))) / beta, where E(q)
-    is the gap at which the thermal population is q."""
-    if not 0.0 < q_out < 1.0:
-        raise ValueError(f"q_out must lie strictly in (0, 1), got {q_out}")
-    # energy_of_population and partition_function written out, operation
-    # for operation: q_out is checked above and the context on creation.
-    beta, e0 = ctx.beta, ctx.e0
-    e_q = -math.log(q_out / (1.0 - q_out)) / beta
-    log_term = math.log(
-        (1.0 + math.exp(-beta * e0)) / (1.0 + math.exp(-beta * e_q))
-    ) / beta
-    return sign * (e0 - e_q) + log_term
-
-
-def epsilon_iii(q_out: float, ctx: ThermalContext) -> float:
-    """Guaranteed stage-III work-loss margin for an endpoint level above the
-    boundary thermal population: strictly positive for q_out > p_beta and
-    zero at q_out = p_beta."""
-    return _stage3_margin(q_out, ctx, 1.0)
-
-
-def epsilon_iii_tilde(q_out: float, ctx: ThermalContext) -> float:
-    """Mirror margin for an endpoint level below the boundary thermal
-    population: strictly positive for q_out < p_beta."""
-    return _stage3_margin(q_out, ctx, -1.0)

@@ -18,6 +18,7 @@ import pytest
 
 from coarseops.bounds import (
     cantelli_lower,
+    epsilon_iii,
     exact_binomial_upper_tail,
     hoeffding_tail,
     lemma_simplecase_bound,
@@ -40,7 +41,6 @@ from coarseops.paths import (
     area_between,
     decompose_stages,
     enumerate_paths,
-    epsilon_iii,
     random_cyclic_path,
     shrink,
     stage2_work_distribution,

@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from coarseops import bounds
 from coarseops.bounds import (
     NoGoBound,
     cantelli_lower,
+    epsilon_iii,
+    epsilon_iii_tilde,
     exact_binomial_upper_tail,
     hoeffding_tail,
     lemma_path_bound,
@@ -39,8 +44,6 @@ from coarseops.paths import (
     Path,
     Tag,
     cyclic_path,
-    epsilon_iii,
-    epsilon_iii_tilde,
     path_work_distribution,
     random_cyclic_path,
 )
@@ -710,12 +713,10 @@ def _builtin_lemma_w2(epsilon2, ctx):
 
 def _builtin_stage_bound(p_in, p_out, ref, ctx, regime):
     q_star = (p_out + ref) / 2.0
-    if p_out >= ref:
-        eps = epsilon_iii(q_star, ctx) if q_star < 1.0 else 0.0
-        p3 = q_star
-    else:
-        eps = epsilon_iii_tilde(q_star, ctx) if q_star > 0.0 else 0.0
-        p3 = 1.0 - q_star
+    up = p_out >= ref
+    margin = epsilon_iii if up else epsilon_iii_tilde
+    eps = margin(q_star, ctx) if 0.0 < q_star < 1.0 else 0.0
+    p3 = q_star if up else 1.0 - q_star
     half = max(eps, 0.0) / 2.0
     p1 = min(p_in, 1.0 - p_in) or 0.0
     p2 = _builtin_lemma_w2(half, ctx) if half > 0.0 else 0.0
@@ -803,9 +804,22 @@ def _edge_populations(ctx):
             + [-5e-324, math.nextafter(1.0, 2.0), math.nan])
 
 
-@pytest.mark.parametrize("beta_e0", [0.05, 0.5, math.log(3), 3.0],
-                         ids=["0.05", "0.5", "ln3", "3"])
-def test_classifier_path_keeps_the_bits_of_min_max_and_abs(beta_e0):
+ALL_KINDS = frozenset({"mixing", "pure_excited", "A6", "A7", "A8"})
+
+
+# At beta*e0 = 800, p_beta underflows to 0: no population lies below it,
+# so no move crosses it.  Only mixing, the pure excited state and A8 occur
+# there, and the theorems of the crossing regimes A6 and A7 only refuse.
+@pytest.mark.parametrize("beta_e0, kinds, refusing", [
+    (0.05, ALL_KINDS, ()),
+    (0.5, ALL_KINDS, ()),
+    (math.log(3), ALL_KINDS, ()),
+    (3.0, ALL_KINDS, ()),
+    (800.0, {"mixing", "pure_excited", "A8"},
+     ("theorem_main_bound", "theorem_rev_bound")),
+], ids=["0.05", "0.5", "ln3", "3", "800"])
+def test_classifier_path_keeps_the_bits_of_min_max_and_abs(beta_e0, kinds,
+                                                           refusing):
     ctx = ThermalContext(beta=1.0, e0=beta_e0)
     pops = _edge_populations(ctx)
     pairs = [
@@ -815,7 +829,6 @@ def test_classifier_path_keeps_the_bits_of_min_max_and_abs(beta_e0):
         (theorem_rev_bound, _builtin_rev),
         (theorem_same_side, _builtin_same_side),
     ]
-    kinds = {"mixing", "pure_excited", "A6", "A7", "A8"}
     seen = set()
     for p_in in pops:
         for p_out in pops:
@@ -826,11 +839,48 @@ def test_classifier_path_keeps_the_bits_of_min_max_and_abs(beta_e0):
                 seen.add((library.__name__, got.startswith("ValueError")))
                 if library is classify_transition:
                     seen.update(k for k in kinds if f"'{k}'" in got)
-    # Every function both returned and raised on the grid, and the
-    # classifier reached every verdict and regime.
+    # Every function raised on the grid and every one but the refusing
+    # ones returned, and the classifier reached every verdict and regime.
     assert seen == kinds | {(library.__name__, raised)
                             for library, _ in pairs
-                            for raised in (False, True)}
+                            for raised in (False, True)
+                            if raised or library.__name__ not in refusing}
+
+
+@pytest.mark.parametrize("ctx", [ThermalContext(beta=1.0, e0=800.0),
+                                 ThermalContext(beta=1e300, e0=1.0)],
+                         ids=["e0=800", "beta=1e300"])
+def test_classifier_is_total_where_p_beta_underflows_to_0(ctx):
+    assert ctx.p_beta == 0.0
+    pops = [p for p in _edge_populations(ctx) if 0.0 <= p <= 1.0]
+    kinds = set()
+    for p_in in pops:
+        for p_out in pops:
+            verdict = classify_transition(p_in, p_out, ctx)
+            kinds.add(verdict.bound.regime if verdict.bound else
+                      verdict.verdict)
+    assert kinds == {"mixing", "pure_excited", "A8"}
+    # q* = (0 + 5e-324)/2 rounds onto 0, the thermal population of no gap:
+    # the bound is vacuous.
+    for p_in in (0.0, -0.0):
+        b = classify_transition(p_in, 5e-324, ctx).bound
+        assert b.regime == "A8"
+        assert b.work_threshold == b.p_2 == b.probability_lower_bound == 0.0
+
+
+@pytest.mark.parametrize("module", ["coarseops.bounds", "coarseops"])
+def test_bounds_leave_paths_unloaded(module):
+    # The no-go rule needs no resolved branches: a fresh interpreter that
+    # imports bounds, or the package, has not loaded paths.
+    src = os.path.dirname(os.path.dirname(bounds.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = f"import sys, {module}; print('coarseops.paths' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True,
+                            timeout=60)
+    assert result.stdout == "False\n"
 
 
 @pytest.mark.parametrize("beta", [1.0, 1e-310], ids=["1", "1e-310"])

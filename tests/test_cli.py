@@ -15,8 +15,8 @@ import pytest
 from click.testing import CliRunner
 
 from coarseops import bounds, cli, engine, thermo, verify
+from coarseops.bounds import epsilon_iii
 from coarseops.cli import main
-from coarseops.paths import epsilon_iii
 from coarseops.protocol import (
     LevelTransformation as LT,
     PartialThermalization as PT,
@@ -329,6 +329,21 @@ def test_forbidden_move_whose_pivot_rounds_onto_0_is_vacuous(command):
     assert bound == {
         "threshold": 0.0, "probability": 0.0,
         "components": {"p1": 5e-324, "p2": 0.0, "p3": 1.0, "pf": 0.0},
+        "regime": "A8",
+    }
+
+
+@pytest.mark.parametrize("command", ["classify", "bounds"])
+def test_upward_pivot_onto_0_where_p_beta_underflows_is_vacuous(command):
+    # At beta*e0 = 800, p_beta is 0 and 0 -> 5e-324 moves away from it;
+    # q* = (5e-324 + 0)/2 rounds onto 0, so the bound is vacuous.
+    result = run(command, "--e0", "800", "--p-in", "0", "--p-out", "5e-324")
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.stdout)
+    bound = doc["bound"] if command == "classify" else doc
+    assert bound == {
+        "threshold": 0.0, "probability": 0.0,
+        "components": {"p1": 0.0, "p2": 0.0, "p3": 0.0, "pf": 0.0},
         "regime": "A8",
     }
 

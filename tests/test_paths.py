@@ -1,5 +1,6 @@
 """Tests for the resolved-branch formalism: enumeration, shrinking, stage
-decomposition, Gibbs-curve areas, and the stage-III loss margins."""
+decomposition, Gibbs-curve areas, and the stage-III loss margins (which
+live in `bounds`)."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from coarseops.bounds import epsilon_iii, epsilon_iii_tilde
 from coarseops.engine import (
     MERGE_TOL,
     ResourceError,
@@ -25,8 +27,6 @@ from coarseops.paths import (
     cyclic_path,
     decompose_stages,
     enumerate_paths,
-    epsilon_iii,
-    epsilon_iii_tilde,
     path_work_distribution,
     random_cyclic_path,
     shrink,
