@@ -26,6 +26,7 @@ import tempfile
 
 import numpy as np
 
+import coarseops
 from coarseops import bounds, characterize, cli, engine, paths
 from coarseops.protocol import (
     BistochasticTransformation as BT,
@@ -260,6 +261,11 @@ def classify_cells(cells, ctx: ThermalContext):
 
 
 def main() -> None:
+    # Where each public name of the package is defined.
+    digest("package.exports", (
+        (obj.__module__, obj.__qualname__)
+        for obj in (getattr(coarseops, name) for name in coarseops.__all__)))
+
     for beta in ("1", "1e300"):
         digest(f"figure8.beta={beta}",
                [run_cli("figure8", "--beta", beta, "--points", 2500)])
@@ -412,22 +418,20 @@ def main() -> None:
                                                       rounds)]))
 
     protos = [random_protocol(seed, 8, 2.0, CTX) for seed in range(300)]
+    # As a list, because each protocol's paths are read twice.
     digest("paths.enumerate_shrink.random_protocol.8", (
         repr((branches, [paths.shrink(p) for p in branches]))
-        for branches in map(paths.enumerate_paths, protos)))
+        for branches in map(list, map(paths.enumerate_paths, protos))))
 
     # Both stage-III margins and the simple-case lemma, with q within 1e-9
-    # of p_beta and at the edges of (0, 1).  The margins are read from
-    # `bounds`, or from `paths` on an older tree whose `bounds` lacks them,
-    # under the same line names.
-    margins = bounds if hasattr(bounds, "epsilon_iii") else paths
+    # of p_beta and at the edges of (0, 1).  The margin lines keep the names
+    # they had when the margins lived in `paths`.
     for beta, e0 in ((1.0, 0.05), (1.0, math.log(3)), (0.5, 600.0)):
         ctx = ThermalContext(beta=beta, e0=e0)
         qs = ([i / 1000 for i in range(1, 1000)] + [1e-300, 1.0 - 2.0**-53]
               + (ctx.p_beta * (1 + np.linspace(-1e-9, 1e-9, 41))).tolist())
         digest(f"paths.stage3_margins.beta*e0={beta * e0:g}", (
-            (q, margins.epsilon_iii(q, ctx),
-             margins.epsilon_iii_tilde(q, ctx))
+            (q, bounds.epsilon_iii(q, ctx), bounds.epsilon_iii_tilde(q, ctx))
             for q in qs))
         digest(f"bounds.lemma_simplecase.beta*e0={beta * e0:g}", (
             (i, j, bounds.lemma_simplecase_bound(i / 100, j / 100, ctx))

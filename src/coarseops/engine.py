@@ -232,7 +232,8 @@ def _shift_lattice(steps):
         n = counts.get(abs(d))
         if n is None:
             n = counts[abs(d)] = [0, 0]
-        n[d > 0] += 1
+        # Not n[d > 0]: for a numpy-float shift that index is a numpy.bool_.
+        n[1 if d > 0 else 0] += 1
     axes, cells, origin = [], 1, 0
     for m, (neg, pos) in reversed(counts.items()):
         axes.append((m, cells, neg + pos + 1, neg))

@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from coarseops.engine import (
@@ -106,8 +107,8 @@ def random_cyclic_path(rng, ctx: ThermalContext, with_swaps: bool) -> Path:
     return cyclic_path(energies, tags, ctx)
 
 
-def enumerate_paths(proto: Protocol) -> list[Path]:
-    """All resolved branches of a protocol with positive probability.
+def enumerate_paths(proto: Protocol) -> Iterator[Path]:
+    """Yields each resolved branch of a protocol with positive probability.
 
     Each thermalization resolves to IDENTITY (weight 1-lambda) or GIBBS
     (lambda); each swap to IDENTITY (1-gamma) or SWAP (gamma).  Weights of
@@ -115,8 +116,8 @@ def enumerate_paths(proto: Protocol) -> list[Path]:
     protocol's energy trajectory at its start, at each of these steps and
     at its end.  Choices of zero weight are dropped before the product,
     which must fit engine.ATOM_CAP paths (ResourceError otherwise, the
-    budget every exhaustive structure shares); a path whose weight
-    underflows to 0 is dropped after it."""
+    budget every exhaustive structure shares, checked at the call); a path
+    whose weight underflows to 0 is dropped after it."""
     trajectory = proto.energy_trajectory()
     gaps, choices = [trajectory[0]], []
     for step, gap in zip(proto.steps, trajectory):
@@ -131,16 +132,16 @@ def enumerate_paths(proto: Protocol) -> list[Path]:
         gaps.append(gap)
     gaps.append(trajectory[-1])
     _check_budget(math.prod(map(len, choices)), "path enumeration")
-    gaps = tuple(gaps)
-    paths = []
+    return _weighted_paths(tuple(gaps), choices, proto.ctx)
+
+
+def _weighted_paths(gaps, choices, ctx: ThermalContext) -> Iterator[Path]:
     for picks in itertools.product(*choices):
         weight = math.prod((w for w, _ in picks), start=1.0)
         if weight != 0.0:
             # From a list: a tuple grown from a generator is allocated at a
             # guessed size and shrunk, stranding memory on tuple free lists.
-            paths.append(Path(gaps, tuple([t for _, t in picks]), weight,
-                              proto.ctx))
-    return paths
+            yield Path(gaps, tuple([t for _, t in picks]), weight, ctx)
 
 
 def shrink(path: Path) -> Path:

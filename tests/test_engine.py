@@ -555,6 +555,42 @@ def test_shift_free_law_holds_python_floats(ctx, steps, p_in):
     assert dist.probabilities == pytest.approx((1.0,), abs=1e-15)
 
 
+_UNIT_E0 = ThermalContext(1.0, 1.0)
+
+
+def _ln3_ctx(num):
+    return ThermalContext(num(np.float64(1.0)), num(np.float64(LN3)))
+
+
+# Each case builds its law twice, once from numpy scalars and once from
+# the same parameters passed through float().  The float32 shifts sum to
+# gaps exact in float32, so the law does not hang on numpy's promotion rule.
+@pytest.mark.parametrize("solve", [
+    lambda num: exact_work_distribution(
+        build_thermalize_once(num(np.float64(0.5)), 1.0, CTX),
+        QubitState(0.3)),
+    lambda num: exact_work_distribution(
+        build_average_work_protocol(0.1, 0.3, _ln3_ctx(num), 5),
+        QubitState(0.1)),
+    lambda num: exact_work_distribution(
+        build_thermalize_once(0.5, 0.4, _ln3_ctx(num)), QubitState(0.7)),
+    lambda num: exact_work_distribution(
+        build_pure_excited_reset(_ln3_ctx(num)), QubitState(0.3)),
+    lambda num: paths.path_work_distribution(
+        paths.cyclic_path([num(g) for g in np.array([0.3, -0.7, 1.2])],
+                          [paths.Tag.GIBBS] * 3, CTX),
+        QubitState(0.3)),
+    lambda num: exact_work_distribution(
+        Protocol(_UNIT_E0, [LT(num(np.float32(0.5))), PT(0.3),
+                            LT(num(np.float32(-0.25))), PT(1.0),
+                            LT(num(np.float32(-0.25)))]),
+        QubitState(0.3)),
+], ids=["thermalize-once-shift", "staged-ctx", "thermalize-once-ctx",
+        "reset-ctx", "cyclic-path-array", "float32-shifts"])
+def test_exact_laws_take_numpy_scalars(solve):
+    assert repr(solve(lambda x: x)) == repr(solve(float))
+
+
 @pytest.mark.parametrize("fallback", [False, True])
 def test_dp_matches_brute_force_after_mixing_prefix(monkeypatch, fallback):
     if fallback:

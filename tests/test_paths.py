@@ -80,7 +80,7 @@ def is_subsequence(short, long):
 
 def test_enumerate_two_thermalizations():
     proto = Protocol(CTX, [PT(0.3), PT(0.6)])
-    paths = enumerate_paths(proto)
+    paths = list(enumerate_paths(proto))
     assert len(paths) == 4
     weights = sorted(p.weight for p in paths)
     expected = sorted([0.7 * 0.4, 0.3 * 0.4, 0.7 * 0.6, 0.3 * 0.6])
@@ -90,7 +90,7 @@ def test_enumerate_two_thermalizations():
 
 def test_enumerate_deterministic_protocol():
     proto = Protocol(CTX, [PT(1.0), PT(1.0)])
-    paths = enumerate_paths(proto)
+    paths = list(enumerate_paths(proto))
     assert len(paths) == 1
     assert paths[0].weight == 1.0
     assert paths[0].tags == (G, G)
@@ -104,10 +104,19 @@ def test_enumerate_refuses_past_atom_cap(monkeypatch):
     # Only positive-weight choices count against the budget.
     monkeypatch.setattr("coarseops.engine.ATOM_CAP", 1000)
     steps = [PT(0.5)] * 9 + [PT(1.0)] * 30
-    assert len(enumerate_paths(Protocol(CTX, steps))) == 512
+    assert len(list(enumerate_paths(Protocol(CTX, steps)))) == 512
+    # Refused at the call, before the first path is asked for.
     with pytest.raises(ResourceError, match=r"^path enumeration of 1024 "
                        r"exceeds ATOM_CAP = 1000$"):
         enumerate_paths(Protocol(CTX, [PT(0.5)] * 10))
+
+
+def test_enumerate_yields_paths_one_at_a_time():
+    # An iterator, so the first path comes before the other 65,535 exist.
+    paths = enumerate_paths(Protocol(CTX, [PT(0.5)] * 16))
+    assert iter(paths) is paths
+    first = next(paths)
+    assert (first.weight, first.tags) == (0.5**16, (I,) * 16)
 
 
 def test_enumerate_weight_sum_on_random_protocols():
@@ -270,7 +279,7 @@ def adversarial_path(seed: int):
 def test_enumerate_and_shrink_match_the_references(max_steps, seeds):
     for seed in range(seeds):
         proto = random_protocol(seed, max_steps, 2.0, CTX)
-        paths = enumerate_paths(proto)
+        paths = list(enumerate_paths(proto))
         expected = reference_enumerate_paths(proto)
         assert repr(paths) == repr(expected), seed
         assert repr([shrink(p) for p in paths]) == repr(
