@@ -128,6 +128,30 @@ def run_edges() -> list:
     ]
 
 
+def one_atom_laws() -> list:
+    """from_atoms on one float each, at the certain law {+0.0: 1.0} (the
+    one shared law) and beside it: -0.0, the masses 1 - 2**-53, 1 + 2**-52,
+    5e-324, 0 and -0.0, numpy floats; then the exact laws of shift-free
+    [PT(lam)] at the boundary gap and [BT(gamma), PT(lam)] at zero gap over
+    a (p_in, lam) grid, most of them the certain law."""
+    f64 = np.float64
+    below, above = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+    inputs = [(0.0, 1.0), (f64(0.0), f64(1.0)), (-0.0, 1.0),
+              (f64(-0.0), f64(1.0)), (0.0, below), (0.0, above),
+              (-0.0, above), (0.0, 5e-324), (-0.0, 5e-324), (0.0, 0.0),
+              (0.0, -0.0), (-0.0, 0.0), (2.5, 1.0)]
+    laws = [engine.WorkDistribution.from_atoms(v, p, CTX) for v, p in inputs]
+    zero_gap = ThermalContext(beta=1.0, e0=0.0)
+    grid = [(i / 40, j / 40) for i in range(41) for j in range(41)]
+    laws += [engine.exact_work_distribution(Protocol(CTX, [PT(lam)]),
+                                            QubitState(p_in))
+             for p_in, lam in grid]
+    laws += [engine.exact_work_distribution(
+        Protocol(zero_gap, [BT(gamma), PT(lam)]), QubitState(p_in))
+        for p_in, lam in grid for gamma in (0.3, 1.0)]
+    return laws
+
+
 def renewal_protocols() -> list:
     """Protocols for final_state's start at its last full thermalization:
     staged ones at three values of beta*e0, random ones with lambda as
@@ -355,6 +379,7 @@ def main() -> None:
                                             start(seed)),
              dp_occupation(shift_free(seed, ctx), start(seed)))
             for seed in range(300)))
+    digest("engine.one_atom_laws", one_atom_laws())
     digest("final_state.renewal", (
         engine.final_state(proto, QubitState(p)).p_excited
         for proto in renewal_protocols() for p in (0.0, -0.0, 0.3, 1.0)))

@@ -73,8 +73,11 @@ def classify_transition(
     if p_beta >= 0.5:
         # At zero boundary gap the swap is free at the boundary, so the
         # forbidden regions collapse; p_beta is 1/2 below beta*e0 ~ 2e-16.
+        # p_beta = 1/2 given as such makes e0 = -log(1) / beta = -0.0;
+        # + 0.0 prints it as 0.
         raise ValueError(f"classification requires p_beta < 1/2, got p_beta "
-                         f"= {p_beta} at beta*e0 = {ctx.beta * ctx.e0:.6g}")
+                         f"= {p_beta} at beta*e0 = "
+                         f"{ctx.beta * ctx.e0 + 0.0:.6g}")
     if p_in == 1.0:
         return TransitionClassification("pure_excited")
     # p_out between p_in and p_beta, the test of mixing_coefficient.

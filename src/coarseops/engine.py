@@ -3,7 +3,8 @@
 A map of the module; each function's docstring states its rules.
 
 * Work laws: `WorkDistribution`, whose `from_atoms` drops the atoms
-  without mass and merges the rest by `_merge_atoms` at MERGE_TOL / beta;
+  without mass and merges the rest by `_merge_atoms` at MERGE_TOL / beta,
+  and hands out the one shared certain law `_CERTAIN_ZERO`;
   `prob_work_at_most` and `total_variation` read them.
 * The exact DP: `_run_dp`, the one kernel over (occupation, work) for
   protocols and resolved paths, on the shift-count lattice of
@@ -113,10 +114,16 @@ class WorkDistribution:
         _merge_atoms at MERGE_TOL / ctx.beta.  One float each, the whole law
         of a shift-free protocol as _run_dp returns it, needs no array, sort
         or merge: the atom is kept when its mass is positive.  The law holds
-        Python floats, also where numpy floats are given."""
+        Python floats, also where numpy floats are given.  The certain law
+        {+0.0: 1.0}, which most classifier witnesses have, is one shared
+        object (_CERTAIN_ZERO), so two certain laws may be one object; an
+        atom at -0.0 or a mass off 1.0 by any amount gets its own law."""
         if isinstance(values, float):
             if not probs > 0:
                 return WorkDistribution((), ())
+            if (probs == 1.0 and values == 0.0
+                    and math.copysign(1.0, values) == 1.0):
+                return _CERTAIN_ZERO
             return WorkDistribution((float(values),), (float(probs),))
         values = np.asarray(values, dtype=float)
         probs = np.asarray(probs, dtype=float)
@@ -154,6 +161,11 @@ class WorkDistribution:
         for w, p in zip(self.values, self.probabilities):
             lines.append(f"{w:.17g},{p:.17g}")
         return "\n".join(lines) + "\n"
+
+
+# The law of a shift-free protocol's certain work 0, shared by from_atoms;
+# frozen, slotted and made of tuples, so no holder can change it.
+_CERTAIN_ZERO = WorkDistribution((0.0,), (1.0,))
 
 
 def prob_work_at_most(dist: WorkDistribution, threshold: float, ctx) -> float:

@@ -765,7 +765,8 @@ def _builtin_classify(p_in, p_out, ctx):
     p_beta = ctx.p_beta
     if p_beta >= 0.5:
         raise ValueError(f"classification requires p_beta < 1/2, got p_beta "
-                         f"= {p_beta} at beta*e0 = {ctx.beta * ctx.e0:.6g}")
+                         f"= {p_beta} at beta*e0 = "
+                         f"{ctx.beta * ctx.e0 + 0.0:.6g}")
     if p_in == 1.0:
         return TransitionClassification("pure_excited")
     if min(p_in, p_beta) <= p_out <= max(p_in, p_beta):

@@ -675,16 +675,21 @@ def test_simulate_past_atom_cap_prints_one_hint(monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["classify", "bounds"])
-@pytest.mark.parametrize("e0", ["0", "1e-20"])
-def test_boundary_gap_too_small_names_p_beta(command, e0):
+@pytest.mark.parametrize("option, value, shown", [
+    ("--e0", "0", "0"),
+    ("--e0", "1e-20", "1e-20"),
+    ("--p-beta", "0.5", "0"),
+], ids=["0", "1e-20", "p_beta=0.5"])
+def test_boundary_gap_too_small_names_p_beta(command, option, value, shown):
     # Below beta*e0 of about 2e-16, p_beta rounds to exactly 1/2 although
     # e0 > 0, so the refusal names p_beta and beta*e0, not the gap's sign.
-    result = run(command, "--e0", e0, "--p-in", "0.1", "--p-out", "0.3")
+    # p_beta = 1/2 gives e0 = -log(1) / beta = -0.0, which prints as 0.
+    result = run(command, option, value, "--p-in", "0.1", "--p-out", "0.3")
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == [
         "error: classification requires p_beta < 1/2, got p_beta = 0.5 "
-        f"at beta*e0 = {e0}"]
+        f"at beta*e0 = {shown}"]
 
 
 def test_verify_passes_at_large_beta():

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarseops import engine, paths
+from coarseops import characterize, engine, paths
 from coarseops.engine import (
     MERGE_TOL,
     ResourceError,
@@ -509,6 +509,14 @@ def test_from_atoms_keeps_a_single_atom_of_positive_mass():
         ((-1.5, 0.25), ((-1.5,), (0.25,))),
         ((-1.5, 0.0), empty),
         ((-0.0, 1.0), ((-0.0,), (1.0,))),
+        ((np.float64(-0.0), np.float64(1.0)), ((-0.0,), (1.0,))),
+        ((0.0, math.nextafter(1.0, 0.0)), ((0.0,), (0.9999999999999999,))),
+        ((0.0, math.nextafter(1.0, 2.0)), ((0.0,), (1.0000000000000002,))),
+        ((-0.0, math.nextafter(1.0, 2.0)), ((-0.0,), (1.0000000000000002,))),
+        ((0.0, 5e-324), ((0.0,), (5e-324,))),
+        ((0.0, 0.0), empty),
+        ((0.0, -0.0), empty),
+        ((2.5, 1.0), ((2.5,), (1.0,))),
         ((np.float64(-1.5), np.float64(0.25)), ((-1.5,), (0.25,))),
         ((np.array([2.5]), np.array([0.25])), ((2.5,), (0.25,))),
         ((np.array([-0.0]), np.array([1.0])), ((-0.0,), (1.0,))),
@@ -519,6 +527,73 @@ def test_from_atoms_keeps_a_single_atom_of_positive_mass():
         dist = WorkDistribution.from_atoms(values, probs, CTX)
         # repr tells -0.0 from 0.0.
         assert repr(_float_law(dist)) == repr(law)
+        # Only +0.0 at mass exactly 1.0 is the shared certain law.
+        assert dist is not engine._CERTAIN_ZERO
+
+
+_CERTAIN_REPR = "WorkDistribution(values=(0.0,), probabilities=(1.0,))"
+
+
+def test_certain_law_is_one_shared_object():
+    shared = WorkDistribution.from_atoms(0.0, 1.0, CTX)
+    assert repr(_float_law(shared)) == repr(((0.0,), (1.0,)))
+    assert repr(shared) == _CERTAIN_REPR
+    for values, probs in [(0.0, 1.0), (np.float64(0.0), np.float64(1.0)),
+                          (np.float64(0.0), 1.0), (0.0, np.float64(1.0))]:
+        assert WorkDistribution.from_atoms(values, probs, CTX) is shared
+
+
+def test_certain_witness_laws_are_the_shared_law():
+    # A mixing witness is [PT(lam)]: its law is the shared object exactly
+    # where the two columns sum to 1.0, and a law of its own elsewhere.
+    shared = certain = 0
+    for i in range(41):
+        for j in range(41):
+            p_in, p_out = i / 40, j / 40
+            verdict = characterize.classify_transition(p_in, p_out, CTX)
+            if verdict.verdict != "mixing":
+                continue
+            proto = characterize.synthesize_protocol(verdict, p_in, p_out,
+                                                     CTX)
+            assert proto.steps == (PT(verdict.lam),)
+            law = exact_work_distribution(proto, QubitState(p_in))
+            certain += repr(law) == _CERTAIN_REPR
+            shared += law is engine._CERTAIN_ZERO
+            assert (law is engine._CERTAIN_ZERO) == (
+                repr(law) == _CERTAIN_REPR), (p_in, p_out)
+    assert 0 < shared == certain
+
+
+def test_certain_witness_laws_keep_no_object_each():
+    # What a classifier pass keeps of a certain-law mixing cell: the
+    # verdict, the witness protocol with its steps tuple and its PT, and
+    # the final population (a float, untracked).  The law is the shared
+    # object, so it adds no tracked object; a fresh law each would add one.
+    def keep():
+        kept, cells = [], 0
+        for i in range(61):
+            for j in range(61):
+                p_in, p_out = i / 60, j / 60
+                verdict = characterize.classify_transition(p_in, p_out, CTX)
+                if verdict.verdict != "mixing":
+                    continue
+                proto = characterize.synthesize_protocol(verdict, p_in,
+                                                         p_out, CTX)
+                law = exact_work_distribution(proto, QubitState(p_in))
+                if repr(law) != _CERTAIN_REPR:
+                    continue
+                final = final_state(proto, QubitState(p_in)).p_excited
+                kept += [verdict, proto, final, law]
+                cells += 1
+        return kept, cells
+
+    gc.collect()
+    before = len(gc.get_objects())
+    kept, cells = keep()
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert cells > 1000
+    assert added <= 4 * cells + 20, (added, cells)
 
 
 # Mixing steps before the first level shift, each followed by a random
