@@ -18,6 +18,7 @@ the same lines.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import math
@@ -243,6 +244,21 @@ def corpus(ctx: ThermalContext) -> list:
             for i in range(500)]
 
 
+def contexts() -> list:
+    """(repr, hash, p_beta, p_beta at half the gap) of each context of a
+    beta x e0 grid, across the edges of p_beta: e0 at +-0, subnormal and
+    tiny, beta*e0 about 745 where p_beta underflows, and overflowing
+    products."""
+    out = []
+    for beta in (1e-300, 1e-3, 1.0, 1e3, 1e300):
+        for e0 in (0.0, -0.0, 5e-324, 1e-300, math.log(3), 700.0, 745.2,
+                   800.0, 1e300):
+            ctx = ThermalContext(beta=beta, e0=e0)
+            out.append((repr(ctx), hash(ctx), ctx.p_beta,
+                        dataclasses.replace(ctx, e0=e0 / 2).p_beta))
+    return out
+
+
 def perfbench_cells(seed: int) -> list:
     """The 192 x 192 grid that perfbench's classify-grid workload runs at
     `seed`: 191 p_in points and 1.0 against 192 p_out points, each shifted
@@ -289,6 +305,8 @@ def main() -> None:
     digest("package.exports", (
         (obj.__module__, obj.__qualname__)
         for obj in (getattr(coarseops, name) for name in coarseops.__all__)))
+
+    digest("thermo.contexts", contexts())
 
     for beta in ("1", "1e300"):
         digest(f"figure8.beta={beta}",

@@ -10,8 +10,7 @@ quadrature grid is one call; non-finite inputs are rejected eagerly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy import ndarray
@@ -28,15 +27,20 @@ def _require_finite(x: float, name: str) -> float:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThermalContext:
     """Fixed environment of every computation: inverse temperature and the
-    boundary energy gap the excited level must return to.  Unlike the other
-    value types it has no slots: the cached property p_beta stores its value
-    in the instance __dict__."""
+    boundary energy gap the excited level must return to.
+
+    p_beta, the excited-level population of the thermal state at the
+    boundary gap, is set once when the context is created.  It lies in
+    (0, 1/2] since e0 >= 0, except that it underflows to 0 once beta*e0
+    exceeds about 745.  It is no init argument and takes no part in
+    equality, hashing or repr; dataclasses.replace computes it again."""
 
     beta: float
     e0: float
+    p_beta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_finite(self.beta, "beta")
@@ -45,15 +49,7 @@ class ThermalContext:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.e0 < 0:
             raise ValueError(f"boundary energy must be >= 0, got {self.e0}")
-
-    @cached_property
-    def p_beta(self) -> float:
-        """Excited-level population of the thermal state at the boundary gap.
-        Lies in (0, 1/2] since e0 >= 0, except that it underflows to 0 once
-        beta*e0 exceeds about 745.  Computed once per context; the
-        cached value is no field, so equality, hashing and
-        dataclasses.replace see beta and e0 alone."""
-        return gibbs_population(self.e0, self)
+        object.__setattr__(self, "p_beta", gibbs_population(self.e0, self))
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -523,6 +524,38 @@ def test_verify_ignores_the_fork_warning_of_python_3_12(monkeypatch):
     monkeypatch.setattr(os, "fork", warning_fork)
     assert _verify_at(monkeypatch, 3) == one
     assert len(forks) == 2
+
+
+def _open_fds():
+    """The names of the descriptors this process holds, or None where there
+    is no /proc to list them."""
+    try:
+        return sorted(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
+@pytest.mark.parametrize("refused", [1, 2])
+def test_verify_runs_on_when_a_fork_is_refused(monkeypatch, refused):
+    # A refused fork (EAGAIN: no process left) ends the forking: any worker
+    # forked before it runs, this process drains the rest, and the refused
+    # worker's pipe is closed.
+    calls = []
+    fork = os.fork
+
+    def refusing():
+        calls.append(1)
+        if len(calls) == refused:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    one = _verify_at(monkeypatch, 1)
+    assert one[0] == 0
+    monkeypatch.setattr(os, "fork", refusing)
+    fds = _open_fds()
+    assert _verify_at(monkeypatch, 16) == one
+    assert _open_fds() == fds
+    assert len(calls) == refused
 
 
 def _patch_check(monkeypatch, index, check):

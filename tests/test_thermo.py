@@ -45,18 +45,21 @@ def test_context_invariants():
     assert ThermalContext(beta=1.0, e0=0.0).p_beta == pytest.approx(0.5)
 
 
-def test_p_beta_is_cached_and_not_a_field():
+def test_p_beta_is_set_at_creation_and_not_compared():
     ctx = ThermalContext(beta=0.7, e0=1.3)
     twin = ThermalContext(beta=0.7, e0=1.3)
     assert ctx.p_beta == gibbs_population(ctx.e0, ctx)
     assert ctx.p_beta is ctx.p_beta
-    # The cached value changes neither equality nor hash, and replace()
-    # builds a context that computes its own.
+    # p_beta changes neither equality, hash nor repr, and replace() builds
+    # a context that computes its own and refuses one given to it.
     assert ctx == twin and hash(ctx) == hash(twin)
-    assert dataclasses.astuple(ctx) == (0.7, 1.3)
+    assert dataclasses.astuple(ctx) == (0.7, 1.3, ctx.p_beta)
+    assert repr(ctx) == "ThermalContext(beta=0.7, e0=1.3)"
     moved = dataclasses.replace(ctx, e0=0.2)
     assert moved.p_beta == gibbs_population(0.2, moved)
     assert dataclasses.replace(ctx) == ctx
+    with pytest.raises(ValueError, match="p_beta"):
+        dataclasses.replace(ctx, p_beta=0.1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         ctx.e0 = 2.0
 

@@ -1,15 +1,19 @@
 """The value types are frozen, slotted dataclasses: no per-instance
 __dict__, no assignment, and equality, hashing, repr and
-dataclasses.replace as generated.  ThermalContext is the one value type
-with a __dict__, where its cached p_beta lives."""
+dataclasses.replace as generated.  Every dataclass the package defines is
+one of them, with no exception."""
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 
 import pytest
 
+import coarseops
 from coarseops.bounds import NoGoBound, reverse_markov_lower
 from coarseops.characterize import TransitionClassification
 from coarseops.engine import MonteCarloResult, WorkDistribution
@@ -28,6 +32,7 @@ CTX = ThermalContext(beta=1.0, e0=math.log(3))
 _LAW = WorkDistribution((0.0, 1.5), (0.25, 0.75))
 _PATH = Path((1.0, 0.5, 1.0), (Tag.GIBBS,), 0.5, CTX)
 _SEGMENT = Segment(0, 0.5, 1.0, 0.25, "G", 0.125)
+_PROTO = Protocol(CTX, [PartialThermalization(0.5), LevelTransformation(1.0)])
 _VALUES = [
     NoGoBound(0.1, 0.01, 0.5, 0.25, 0.75, 0.125, "A6"),
     reverse_markov_lower(0.5, 0.25),
@@ -43,8 +48,9 @@ _VALUES = [
     BistochasticTransformation(0.5),
     Violation(1, "gap must be zero"),
     ValidationReport((Violation(1, "gap must be zero"),)),
-    Protocol(CTX, [PartialThermalization(0.5), LevelTransformation(1.0)]),
+    _PROTO,
     QubitState(0.3),
+    CTX,
 ]
 
 
@@ -78,18 +84,24 @@ def test_replace_and_repr_of_slotted_values():
     assert repr(state) == "QubitState(p_excited=0.3)"
     assert dataclasses.replace(state, p_excited=0.4) == QubitState(0.4)
     assert QubitState(0.3) != QubitState(0.4)
-    proto = _VALUES[-2]
-    moved = dataclasses.replace(proto, steps=[PartialThermalization(1.0)])
+    moved = dataclasses.replace(_PROTO, steps=[PartialThermalization(1.0)])
     assert moved.steps == (PartialThermalization(1.0),)
-    assert moved.ctx is CTX and moved != proto
+    assert moved.ctx is CTX and moved != _PROTO
     # replace() runs the checks of the constructor.
     with pytest.raises(ValueError, match="^lambda must lie"):
         dataclasses.replace(PartialThermalization(0.5), lam=2.0)
 
 
-def test_thermal_context_keeps_its_dict_for_the_cached_p_beta():
-    ctx = ThermalContext(beta=1.0, e0=math.log(3))
-    assert vars(ctx) == {"beta": 1.0, "e0": math.log(3)}
-    p_beta = ctx.p_beta
-    assert vars(ctx)["p_beta"] is p_beta
-    assert not hasattr(ThermalContext, "__slots__")
+def test_every_dataclass_of_the_package_is_a_value_type():
+    # A dataclass added to any module must be frozen and slotted, and have
+    # an instance in _VALUES, so that the generic test runs on it.
+    found = []
+    for info in pkgutil.iter_modules(coarseops.__path__):
+        module = importlib.import_module(f"coarseops.{info.name}")
+        found += [cls for cls in vars(module).values()
+                  if inspect.isclass(cls) and cls.__module__ == module.__name__
+                  and dataclasses.is_dataclass(cls)]
+    for cls in found:
+        assert cls.__dataclass_params__.frozen, cls.__name__
+        assert "__slots__" in cls.__dict__, cls.__name__
+    assert set(found) == {type(value) for value in _VALUES}
